@@ -1,14 +1,17 @@
 """Doubled alphabet, shuffle orders, colored words, and Yamanouchi machinery.
 
-Letters come in an unbarred and a barred copy of 1..N.  A shuffle order is
-any total order on the 2N letters that keeps each copy in its usual order.
-Colored words are plain tuples of letters; everything here is immutable and
-pure, so values can be shared freely between threads.
+Letters come in an unbarred and a barred copy of 1..N.  A letter is an
+``int`` equal to its position in the natural order 1 < 1' < 2 < 2' < ...,
+counting from 0: ``unbarred(1) == 0`` and ``barred(2) == 3``.  Letters are
+interned, one instance per code, so hashing, comparing and sorting colored
+words all run on plain integers.  A shuffle order is any total order on the
+2N letters that keeps each copy in its usual order.  Colored words are plain
+tuples of letters; everything here is immutable and pure, so values can be
+shared freely between threads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import comb
@@ -17,24 +20,53 @@ from typing import Iterable, Sequence
 from .errors import InvalidParameterError, MalformedInputError
 
 
-@dataclass(frozen=True)
-class Letter:
-    """One symbol of the doubled alphabet: a value in 1..N, barred or not."""
+class Letter(int):
+    """One symbol of the doubled alphabet: a value in 1..N, barred or not.
 
-    value: int
-    barred: bool = False
+    The letter is equal to its natural-order code ``2*(value-1) + barred``,
+    so ``unbarred(1) == 0``; it hashes, compares and sorts as that integer.
+    ``Letter(value, barred)`` returns the one interned instance for its code,
+    and so do ``copy`` and pickle (protocol 2 and later, the default).  A
+    letter is always true, even letter 1 (code 0), and its attributes cannot
+    be reassigned.
+    """
 
-    def __post_init__(self):
-        if self.value < 1:
-            raise InvalidParameterError(f"letter value must be >= 1, got {self.value}")
+    _interned: dict[int, Letter] = {}
+
+    def __new__(cls, value: int, barred: bool = False) -> Letter:
+        if value < 1:
+            raise InvalidParameterError(f"letter value must be >= 1, got {value}")
+        code = 2 * (value - 1) + (1 if barred else 0)
+        letter = cls._interned.get(code)
+        if letter is None:
+            letter = int.__new__(cls, code)
+            object.__setattr__(letter, "value", code // 2 + 1)
+            object.__setattr__(letter, "barred", bool(barred))
+            cls._interned[code] = letter
+        return letter
 
     @property
     def code(self) -> int:
         """Position of the letter in the natural order, counting from 0."""
-        return 2 * (self.value - 1) + (1 if self.barred else 0)
+        return int(self)
+
+    def __getnewargs__(self) -> tuple[int, bool]:
+        return self.value, self.barred
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign {name!r}: letters are immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r}: letters are immutable")
+
+    def __bool__(self) -> bool:
+        return True
 
     def __str__(self) -> str:
         return f"{self.value}'" if self.barred else f"{self.value}"
+
+    def __format__(self, spec: str) -> str:
+        return format(str(self), spec)
 
     def __repr__(self) -> str:
         return f"Letter({self})"
@@ -76,8 +108,8 @@ def word_str(word: ColoredWord) -> str:
 
 
 def word_key(word: ColoredWord) -> tuple[int, ...]:
-    """Sort key: the sequence of natural-order codes."""
-    return tuple(x.code for x in word)
+    """Sort key: the sequence of natural-order codes, which is the word itself."""
+    return tuple(word)
 
 
 def down_arrow(x: Letter) -> Letter | None:
@@ -98,24 +130,25 @@ def double_down(x: Letter) -> Letter | None:
 class ShuffleOrder:
     """A total order on the doubled alphabet, increasing on each half.
 
-    Stored as the tuple of letters in increasing order plus an explicit rank
-    table, so comparisons are O(1) dictionary lookups.
+    Stored as the tuple of letters in increasing order plus a rank table
+    indexed by the letters themselves, so comparisons are O(1) tuple lookups.
     """
 
     __slots__ = ("letters", "_rank")
 
     def __init__(self, letters: Sequence[Letter]):
         letters = tuple(letters)
-        values = sorted({x.value for x in letters})
-        n = len(values)
-        if n == 0 or values != list(range(1, n + 1)) or len(letters) != 2 * n:
+        if not letters or sorted(letters) != list(range(len(letters))) or len(letters) % 2:
             raise MalformedInputError("order must list each of 1..N once barred and once unbarred")
         for flag in (False, True):
-            half = [x.value for x in letters if x.barred is flag]
-            if half != sorted(half) or len(half) != n:
+            half = [x for x in letters if x.barred is flag]
+            if half != sorted(half):
                 raise MalformedInputError("a shuffle order must keep each half of the alphabet in increasing order")
+        rank = [0] * len(letters)
+        for i, x in enumerate(letters):
+            rank[x] = i
         object.__setattr__(self, "letters", letters)
-        object.__setattr__(self, "_rank", {x: i for i, x in enumerate(letters)})
+        object.__setattr__(self, "_rank", tuple(rank))
 
     @property
     def N(self) -> int:
@@ -338,7 +371,7 @@ def enumerate_cyw(lam: tuple[int, ...], d: int) -> list[ColoredWord]:
             words.add(shuffle)
             count += 1
     assert len(words) == count, "split-and-shuffle construction produced a duplicate"
-    return sorted(words, key=word_key)
+    return sorted(words)
 
 
 def is_shuffle_closed(words: Iterable[ColoredWord]) -> bool:

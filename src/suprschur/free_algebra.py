@@ -29,7 +29,6 @@ from .alphabet_words import (
     letter_from_code,
     natural_order,
     parse_word,
-    word_key,
     word_str,
 )
 from .errors import InvalidParameterError, ResourceLimitError
@@ -114,12 +113,11 @@ class NCPoly:
     def content_split(self) -> dict[tuple[int, ...], dict[ColoredWord, int]]:
         out: dict[tuple[int, ...], dict[ColoredWord, int]] = {}
         for w, c in self.terms.items():
-            key = tuple(sorted(x.code for x in w))
-            out.setdefault(key, {})[w] = c
+            out.setdefault(tuple(sorted(w)), {})[w] = c
         return out
 
     def support(self) -> list[ColoredWord]:
-        return sorted(self.terms, key=word_key)
+        return sorted(self.terms)
 
     def to_text(self) -> str:
         lines = []
@@ -316,10 +314,9 @@ def binary_window_map(spec: IdealSpec) -> dict[ColoredWord, tuple[ColoredWord, .
 def _is_rotation_window(window: ColoredWord) -> tuple[Letter, Letter, Letter] | None:
     """The consecutive triple (x, y, z) when the window is one of the four
     rotation arrangements, else None."""
-    codes = sorted(x.code for x in window)
-    if len(set(codes)) != 3 or codes[2] - codes[0] != 2:
+    x, y, z = sorted(window)
+    if not x < y < z or z - x != 2:
         return None
-    x, y, z = (letter_from_code(c) for c in codes)
     if window in ((x, y, z), (z, y, x)):
         return None
     return x, y, z
@@ -327,7 +324,7 @@ def _is_rotation_window(window: ColoredWord) -> tuple[Letter, Letter, Letter] | 
 
 def multiset_words(letters: Sequence[Letter]) -> Iterator[ColoredWord]:
     """Distinct arrangements of a letter multiset, lexicographic by code."""
-    pool = sorted(letters, key=lambda x: x.code)
+    pool = sorted(letters)
     distinct = []
     counts = []
     for x in pool:
@@ -614,10 +611,10 @@ def e_k_subset(k: int, letters: Iterable[Letter]) -> NCPoly:
         return NCPoly()
     if k == 0:
         return NCPoly.one()
-    pool = tuple(sorted(set(letters), key=lambda x: x.code, reverse=True))
-    key = ("eS", k, tuple(x.code for x in pool))
+    pool = tuple(sorted(set(letters), reverse=True))
+    key = ("eS", k, pool)
     if key not in _e_cache:
-        step = lambda prev, z: z.code < prev.code or (z == prev and z.barred)  # noqa: E731
+        step = lambda prev, z: z < prev or (z == prev and z.barred)  # noqa: E731
         _e_cache[key] = NCPoly({w: 1 for w in _chains(pool, k, step)})
     return _e_cache[key]
 
@@ -689,14 +686,6 @@ def letters_at_most(flag: FlagValue, N: int) -> tuple[Letter, ...]:
     if flag is None:
         return ()
     return tuple(letter_from_code(c) for c in range(flag.code + 1))
-
-
-def check_flag_tuple(flags: Sequence[FlagValue]) -> tuple[FlagValue, ...]:
-    flags = tuple(flags)
-    ranks = [-1 if f is None else f.code for f in flags]
-    if any(a > b for a, b in zip(ranks, ranks[1:])):
-        raise InvalidParameterError("flags must be weakly increasing")
-    return flags
 
 
 def J_augmented(

@@ -18,9 +18,7 @@ from .alphabet_words import (
     Letter,
     ShuffleOrder,
     descent_set,
-    letter_from_code,
     natural_order,
-    word_key,
     word_str,
 )
 from .errors import ConstructionFailureError, VerificationFailureError
@@ -39,7 +37,7 @@ class Switch:
 
     @staticmethod
     def make(position: int, kind: str, w1: ColoredWord, w2: ColoredWord) -> "Switch":
-        lo, hi = sorted((w1, w2), key=word_key)
+        lo, hi = sorted((w1, w2))
         return Switch(position, kind, (lo, hi))
 
     def other(self, word: ColoredWord) -> ColoredWord:
@@ -50,10 +48,8 @@ def _window_partners(window: tuple[Letter, Letter, Letter]) -> list[tuple[tuple[
     """All local switch moves available on a three-letter window."""
     p, q, r = window
     out = []
-    codes = (p.code, q.code, r.code)
-    if len(set(codes)) == 3:
-        lo, mid, hi = sorted(codes)
-        x, y, z = letter_from_code(lo), letter_from_code(mid), letter_from_code(hi)
+    if len({p, q, r}) == 3:
+        x, y, z = sorted(window)
         knuth_moves = {
             (x, z, y): (z, x, y),
             (z, x, y): (x, z, y),
@@ -63,7 +59,7 @@ def _window_partners(window: tuple[Letter, Letter, Letter]) -> list[tuple[tuple[
         partner = knuth_moves.get(window)
         if partner is not None:
             out.append((partner, KNUTH))
-        if (mid, hi) == (lo + 1, lo + 2):
+        if (y, z) == (x + 1, x + 2):
             rotation_moves = {
                 (y, x, z): (x, z, y),
                 (x, z, y): (y, x, z),
@@ -77,20 +73,20 @@ def _window_partners(window: tuple[Letter, Letter, Letter]) -> list[tuple[tuple[
         moves = []
         if p == q and p != r:
             # (y,y,x) -> (y,x,y) for unbarred y above x; (y,y,z) -> (y,z,y) for barred y below z
-            if (not p.barred and r.code < p.code) or (p.barred and r.code > p.code):
+            if (not p.barred and r < p) or (p.barred and r > p):
                 moves.append((p, r, p))
         if q == r and p != q:
             # (z,y,y) -> (y,z,y) for unbarred y below z; (x,y,y) -> (y,x,y) for barred y above x
-            if (not q.barred and p.code > q.code) or (q.barred and p.code < q.code):
+            if (not q.barred and p > q) or (q.barred and p < q):
                 moves.append((q, p, q))
         if p == r and p != q:
-            if not p.barred and q.code < p.code:
+            if not p.barred and q < p:
                 moves.append((p, p, q))  # (y,x,y) -> (y,y,x)
-            elif not p.barred and q.code > p.code:
+            elif not p.barred and q > p:
                 moves.append((q, p, p))  # (y,z,y) -> (z,y,y)
-            elif p.barred and q.code > p.code:
+            elif p.barred and q > p:
                 moves.append((p, p, q))  # (y,z,y) -> (y,y,z)
-            elif p.barred and q.code < p.code:
+            elif p.barred and q < p:
                 moves.append((q, p, p))  # (y,x,y) -> (x,y,y)
         out.extend((m, KNUTH) for m in moves)
     return out
@@ -116,7 +112,7 @@ class Switchboard:
     """An edge-labeled switch graph on a fixed set of colored words."""
 
     def __init__(self, vertices: Iterable[ColoredWord], edges: Iterable[Switch]):
-        self.vertices = tuple(sorted(set(vertices), key=word_key))
+        self.vertices = tuple(sorted(set(vertices)))
         self.edges = frozenset(edges)
         self._incident: dict[tuple[ColoredWord, int], list[Switch]] = {}
         for edge in self.edges:
@@ -137,7 +133,7 @@ class Switchboard:
         index = {w: f"v{k}" for k, w in enumerate(self.vertices, start=1)}
         for w in self.vertices:
             lines.append(f'  {index[w]} [label="{word_str(w)}"];')
-        for edge in sorted(self.edges, key=lambda e: (e.position, word_key(e.words[0]), word_key(e.words[1]))):
+        for edge in sorted(self.edges, key=lambda e: (e.position, e.words)):
             label = f"{edge.position}" if edge.kind == KNUTH else f"~{edge.position}"
             lines.append(f'  {index[edge.words[0]]} -- {index[edge.words[1]]} [label="{label}"];')
         lines.append("}")
@@ -152,7 +148,7 @@ class Switchboard:
                     "kind": e.kind,
                     "words": [word_str(e.words[0]), word_str(e.words[1])],
                 }
-                for e in sorted(self.edges, key=lambda e: (e.position, word_key(e.words[0])))
+                for e in sorted(self.edges, key=lambda e: (e.position, e.words[0]))
             ],
         }
         return json.dumps(payload, indent=2)
@@ -235,11 +231,11 @@ def components(board: Switchboard) -> list[tuple[ColoredWord, ...]]:
     for edge in board.edges:
         r1, r2 = find(edge.words[0]), find(edge.words[1])
         if r1 != r2:
-            parent[max(r1, r2, key=word_key)] = min(r1, r2, key=word_key)
+            parent[max(r1, r2)] = min(r1, r2)
     groups: dict[ColoredWord, list[ColoredWord]] = {}
     for w in board.vertices:
         groups.setdefault(find(w), []).append(w)
-    return [tuple(sorted(group, key=word_key)) for root, group in sorted(groups.items(), key=lambda kv: word_key(kv[0]))]
+    return [tuple(sorted(groups[root])) for root in sorted(groups)]
 
 
 def component_schur(board: Switchboard) -> list[SymFunc]:

@@ -17,7 +17,6 @@ from .alphabet_words import (
     ShuffleOrder,
     covering_swap_path,
     descent_set,
-    word_key,
 )
 from .errors import InvalidParameterError, NotSymmetricError
 from .tableaux import check_partition, partitions_of

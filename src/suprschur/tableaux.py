@@ -20,7 +20,6 @@ from .alphabet_words import (
     Letter,
     ShuffleOrder,
     parse_word,
-    word_key,
     word_str,
 )
 from .errors import InvalidParameterError, MalformedInputError
@@ -228,7 +227,7 @@ class ColoredTableau:
         return [[x for _, x in cells] for _, cells in self.rows()]
 
     def word_multiset(self) -> tuple[Letter, ...]:
-        return tuple(sorted(self.entries.values(), key=lambda x: x.code))
+        return tuple(sorted(self.entries.values()))
 
     def to_text(self) -> str:
         return "\n".join(word_str(row) for row in self.row_words())
@@ -426,7 +425,7 @@ def _reading_predecessors(tab: ColoredTableau) -> dict[Box, set[Box]]:
 def is_arrow_respecting(tab: ColoredTableau, word: ColoredWord) -> bool:
     """Whether the word can be read off the tableau in an order compatible
     with the southwest-to-northeast box order and with every arrow."""
-    if tuple(sorted(word_key(word))) != tuple(sorted(x.code for x in tab.entries.values())):
+    if sorted(word) != sorted(tab.entries.values()):
         raise InvalidParameterError("word is not a rearrangement of the tableau entries")
     preds = _reading_predecessors(tab)
     read: set[Box] = set()
@@ -469,7 +468,7 @@ def arrow_respecting_extensions(tab: ColoredTableau) -> Iterator[tuple[Box, ...]
 
 def arrow_respecting_words(tab: ColoredTableau) -> list[ColoredWord]:
     words = {tuple(tab[box] for box in seq) for seq in arrow_respecting_extensions(tab)}
-    return sorted(words, key=word_key)
+    return sorted(words)
 
 
 def some_arrow_respecting_word(tab: ColoredTableau) -> ColoredWord:

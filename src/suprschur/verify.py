@@ -22,7 +22,6 @@ from .alphabet_words import (
     enumerate_cyw,
     letter_from_code,
     natural_order,
-    word_key,
     word_str,
 )
 from .errors import InvalidParameterError
@@ -372,10 +371,7 @@ def verify_flagged(N: int = 2, max_alpha_weight: int = 4, box: int = 3) -> dict:
                 cap = down_arrow(border[j]) if j <= jprime else None
                 cap_rank = (-1 if cap is None else cap.code) if j <= jprime else None
                 border_letters = [border[c] for c in range(j + 1, jprime + 1)]
-                splits = sorted(
-                    _reading_word_splits(tab, border_letters),
-                    key=lambda vw: (word_key(vw[0]), word_key(vw[1])),
-                )
+                splits = sorted(_reading_word_splits(tab, border_letters))
                 for flags in _flag_choices(fixed, l, N):
                     if cap_rank is not None:
                         fj = flags[j - 1]
@@ -406,7 +402,7 @@ def verify_flagged(N: int = 2, max_alpha_weight: int = 4, box: int = 3) -> dict:
                                 {
                                     "nu": list(nu),
                                     "alpha": list(alpha),
-                                    "flags": [str(f) if f else "0'" for f in flags],
+                                    "flags": [str(f) if f is not None else "0'" for f in flags],
                                     "tableau": tab.to_text(),
                                     "v": word_str(v_word),
                                     "w": word_str(w_word),

@@ -126,3 +126,44 @@ RIBBON_TARGET_ORDER = "1 1' 2 2' 3 3' 4' 4"
 T544_ROWS = "1 1 3' 4' 6 / 2' 3 4 4' / 3 3' 4' 5"
 T544_SQREAD = "3 2' 3' 3 1 4' 5 4 1 3' 4' 4' 6"
 T544_CREADING = "3 2' 1 3' 3 1 4' 4 3' 5 4' 4' 6"
+
+# J_(2,1) over the alphabet 1 < 1' < 2 < 2', as printed by NCPoly.to_text:
+# the 20 terms in natural-order word order.
+JNU21_N2_TEXT = """\
++1 * 1' 1 1
++1 * 1' 1 1'
++1 * 1' 1 2
++1 * 1' 1 2'
++1 * 1' 1' 2
++1 * 1' 1' 2'
++1 * 2 1 1
++1 * 2 1 1'
++1 * 2 1 2
++1 * 2 1 2'
++1 * 2 1' 2
++1 * 2 1' 2'
++1 * 2' 1 1
++1 * 2' 1 1'
++1 * 2' 1 2
++1 * 2' 1 2'
++1 * 2' 1' 2
++1 * 2' 1' 2'
++1 * 2' 2 2
++1 * 2' 2 2'"""
+
+# The 12 colored Yamanouchi words of content (3,1) with one barred letter,
+# in the order enumerate_cyw returns them.
+CYW31_D1_WORDS = [
+    "1 1 1' 2",
+    "1 1 2 1'",
+    "1 1' 1 2",
+    "1 1' 2 1",
+    "1 2 1 1'",
+    "1 2 1' 1",
+    "1' 1 1 2",
+    "1' 1 2 1",
+    "1' 2 1 1",
+    "2 1 1 1'",
+    "2 1 1' 1",
+    "2 1' 1 1",
+]

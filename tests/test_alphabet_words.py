@@ -1,3 +1,5 @@
+import copy
+import pickle
 from collections import Counter
 
 import pytest
@@ -30,6 +32,8 @@ from suprschur.alphabet_words import (
 )
 from suprschur.errors import InvalidParameterError, MalformedInputError
 
+from golden_data import CYW31_D1_WORDS
+
 w = parse_word
 
 
@@ -42,6 +46,72 @@ def test_letter_basics():
         Letter(0)
     with pytest.raises(MalformedInputError):
         parse_word("x")
+
+
+def test_letter_is_its_interned_code():
+    assert letter_from_code(3) is barred(2)
+    assert Letter(2, True) is barred(2) and parse_word("2'")[0] is barred(2)
+    assert unbarred(1) == 0 and barred(2) == 3
+    for code in range(6):
+        x = letter_from_code(code)
+        assert x.code == code and type(x.code) is int
+        assert hash(x) == hash(x.code)
+        assert (x.value, x.barred) == (code // 2 + 1, code % 2 == 1)
+    assert hash(parse_word("1 1' 2")) == hash((0, 1, 2))
+
+
+def test_letter_is_always_true():
+    assert bool(unbarred(1)) is True
+    flag = double_down(barred(1))  # letter 1, code 0
+    assert flag == 0 and flag
+
+
+def test_letter_is_immutable():
+    x = unbarred(2)
+    with pytest.raises(AttributeError):
+        x.value = 3
+    with pytest.raises(AttributeError):
+        x.barred = True
+    with pytest.raises(AttributeError):
+        del x.value
+    assert (x.value, x.barred) == (2, False)
+
+
+def test_letter_survives_pickle_and_copy():
+    for x in (unbarred(1), barred(1), barred(7)):
+        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(x, protocol)) is x
+        assert copy.copy(x) is x
+        assert copy.deepcopy(x) is x
+    word = parse_word("2 1' 1")
+    assert all(a is b for a, b in zip(copy.deepcopy(word), word))
+
+
+def test_letter_rejects_values_below_one():
+    for value in (0, -1):
+        with pytest.raises(InvalidParameterError):
+            Letter(value)
+        with pytest.raises(InvalidParameterError):
+            Letter(value, True)
+
+
+def test_letter_prints_as_text_not_code():
+    assert f"{barred(2)}" == "2'"
+    assert f"{unbarred(1)}" == "1"
+    assert f"{barred(2):>3}" == " 2'"
+    assert repr(barred(2)) == "Letter(2')"
+    assert str(barred(10)) == "10'"
+
+
+def test_plain_sort_is_natural_order():
+    words = enumerate_cyw((3, 2, 1), 2)
+    shuffled = list(reversed(words))
+    assert sorted(shuffled) == sorted(shuffled, key=word_key) == words
+    assert sorted(parse_word("2' 1 2 1'")) == list(natural_order(2).letters)
+
+
+def test_enumerate_cyw_output_is_unchanged():
+    assert [word_str(v) for v in enumerate_cyw((3, 1), 1)] == CYW31_D1_WORDS
 
 
 def test_named_orders():
@@ -61,6 +131,15 @@ def test_order_rejects_scrambled_halves():
         ShuffleOrder(parse_word("2 1 1' 2'"))
     with pytest.raises(MalformedInputError):
         ShuffleOrder(parse_word("1 2' 2 1'"))
+
+
+def test_order_rejects_repeated_or_missing_letters():
+    # the rank table is indexed by letter, so a repeated letter must not
+    # stand in for a missing one
+    with pytest.raises(MalformedInputError):
+        ShuffleOrder(parse_word("1 1 1' 2'"))
+    with pytest.raises(MalformedInputError):
+        ShuffleOrder(parse_word("1 1' 2"))
 
 
 def test_down_maps():

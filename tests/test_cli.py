@@ -4,6 +4,8 @@ import pytest
 
 from suprschur.cli import main
 
+from golden_data import CYW31_D1_WORDS
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -29,6 +31,14 @@ def test_cyw_count(capsys):
     code, out = run(capsys, "cyw", "--lambda", "3,2", "--d", "2", "--count")
     payload = json.loads(out)
     assert code == 0 and payload["count"] == 50 and "words" not in payload
+
+
+def test_json_prints_letters_as_text(capsys):
+    code, out = run(capsys, "cyw", "--lambda", "3,1", "--d", "1")
+    assert code == 0 and json.loads(out)["words"] == CYW31_D1_WORDS
+    assert '"1 1 1\' 2"' in out
+    code, out = run(capsys, "convert-word", "--word", "1' 1 2", "--from", "bigbar", "--to", "natural")
+    assert code == 0 and all(tok in ("1", "1'", "2", "2'") for tok in json.loads(out)["converted"].split())
 
 
 def test_fexpand_both(capsys):

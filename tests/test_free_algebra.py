@@ -44,11 +44,18 @@ from suprschur.free_algebra import (
 )
 from suprschur.alphabet_words import enumerate_cyw
 
+from golden_data import JNU21_N2_TEXT
+
 w = parse_word
 
 
 def P(text: str) -> NCPoly:
     return NCPoly.from_word(w(text))
+
+
+def test_jnu_text_is_unchanged():
+    assert J_nu((2, 1), 2).to_text() == JNU21_N2_TEXT
+    assert NCPoly.from_text(JNU21_N2_TEXT) == J_nu((2, 1), 2)
 
 
 def test_ncpoly_arithmetic_and_text():
