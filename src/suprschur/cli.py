@@ -2,7 +2,9 @@
 
 All verbs print machine-readable JSON by default (``--pretty`` switches to
 plain tables where available).  Exit status: 0 on success or verified, 1 on
-a verification failure, 2 on usage errors or malformed input.
+a verification failure, 2 on usage errors or malformed input, 3 when a
+computation would exceed a resource limit, such as the monomial budget set
+by SUPRSCHUR_BUDGET; a resource limit says nothing about the identity.
 """
 
 from __future__ import annotations
@@ -380,7 +382,10 @@ def main(argv=None) -> int:
     except (InvalidParameterError, MalformedInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ResourceLimitError, NotSymmetricError, VerificationFailureError, ConstructionFailureError) as exc:
+    except ResourceLimitError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except (NotSymmetricError, VerificationFailureError, ConstructionFailureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -71,14 +71,25 @@ class NCPoly:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
+    @classmethod
+    def _wrap(cls, terms: dict[ColoredWord, int]) -> "NCPoly":
+        """Adopt a dict whose coefficients are all nonzero, without copying it."""
+        poly = cls.__new__(cls)
+        poly.terms = terms
+        return poly
+
     def __add__(self, other: "NCPoly") -> "NCPoly":
         out = dict(self.terms)
         for w, c in other.terms.items():
-            out[w] = out.get(w, 0) + c
-        return NCPoly(out)
+            new = out.get(w, 0) + c
+            if new:
+                out[w] = new
+            else:
+                del out[w]
+        return NCPoly._wrap(out)
 
     def __neg__(self) -> "NCPoly":
-        return NCPoly({w: -c for w, c in self.terms.items()})
+        return NCPoly._wrap({w: -c for w, c in self.terms.items()})
 
     def __sub__(self, other: "NCPoly") -> "NCPoly":
         return self + (-other)
@@ -91,7 +102,9 @@ class NCPoly:
             for w2, c2 in other.terms.items():
                 w = w1 + w2
                 out[w] = out.get(w, 0) + c1 * c2
-        return NCPoly(out)
+        for w in [w for w, c in out.items() if not c]:
+            del out[w]
+        return NCPoly._wrap(out)
 
     def __rmul__(self, other: int) -> "NCPoly":
         return self * other

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import factorial
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 from .alphabet_words import enumerate_cyw, natural_order
 from .errors import InvalidParameterError, ResourceLimitError
@@ -119,9 +120,11 @@ def hook(n: int, d: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _sqread_shape_census(lam: tuple[int, ...], d: int) -> dict[tuple[tuple[int, ...], bool], int]:
+def _sqread_shape_census(lam: tuple[int, ...], d: int) -> Mapping[tuple[tuple[int, ...], bool], int]:
     """For each colored Yamanouchi word that is a diagonal reading word,
-    record the shape of its insertion tableau and whether it ends barred."""
+    record the shape of its insertion tableau and whether it ends barred.
+
+    The cache hands the same census to every caller, so it is read-only."""
     order = natural_order(max(len(lam), 1))
     census: dict[tuple[tuple[int, ...], bool], int] = {}
     for w in enumerate_cyw(lam, d):
@@ -134,7 +137,7 @@ def _sqread_shape_census(lam: tuple[int, ...], d: int) -> dict[tuple[tuple[int, 
         shape = tuple(widths[r] for r in sorted(widths))
         key = (shape, w[-1].barred if w else False)
         census[key] = census.get(key, 0) + 1
-    return census
+    return MappingProxyType(census)
 
 
 def g_hook_rule(lam: Sequence[int], d: int, nu: Sequence[int]) -> int:

@@ -8,7 +8,10 @@ independent of the tableau-counting route it is used to check.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
+from math import factorial
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .alphabet_words import (
@@ -67,12 +70,9 @@ class QSymMonomialVector:
 
 
 @lru_cache(maxsize=None)
-def fundamental_qsym(descents: frozenset[int], degree: int, nvars: int) -> QSymMonomialVector:
-    """Gessel's fundamental quasisymmetric function for a descent set.
-
-    Sums x_{i_1}...x_{i_t} over weakly increasing index sequences that step
-    strictly at every descent position.
-    """
+def _fundamental_terms(descents: frozenset[int], degree: int, nvars: int) -> Mapping[Exponents, int]:
+    """The monomials of a fundamental quasisymmetric function with their
+    coefficients, read-only, so the cache can hand it to every caller."""
     if any(not 1 <= pos <= degree - 1 for pos in descents):
         raise InvalidParameterError("descents must lie between 1 and degree-1")
     coeffs: dict[Exponents, int] = {}
@@ -92,7 +92,16 @@ def fundamental_qsym(descents: frozenset[int], degree: int, nvars: int) -> QSymM
             rec(pos + 1)
 
     rec(0)
-    return QSymMonomialVector(degree, nvars, coeffs)
+    return MappingProxyType(coeffs)
+
+
+def fundamental_qsym(descents: frozenset[int], degree: int, nvars: int) -> QSymMonomialVector:
+    """Gessel's fundamental quasisymmetric function for a descent set.
+
+    Sums x_{i_1}...x_{i_t} over weakly increasing index sequences that step
+    strictly at every descent position.  Each call returns a fresh vector.
+    """
+    return QSymMonomialVector(degree, nvars, dict(_fundamental_terms(descents, degree, nvars)))
 
 
 def F_of_poly(terms: Mapping[ColoredWord, int], order: ShuffleOrder, nvars: int | None = None) -> QSymMonomialVector:
@@ -104,10 +113,11 @@ def F_of_poly(terms: Mapping[ColoredWord, int], order: ShuffleOrder, nvars: int 
     degree = lengths.pop() if lengths else 0
     if nvars is None:
         nvars = max(degree, 1)
-    out = QSymMonomialVector(degree, nvars)
+    coeffs: dict[Exponents, int] = {}
     for w, c in terms.items():
-        out.add_inplace(fundamental_qsym(descent_set(w, order), degree, nvars), c)
-    return out
+        for exps, k in _fundamental_terms(descent_set(w, order), degree, nvars).items():
+            coeffs[exps] = coeffs.get(exps, 0) + c * k
+    return QSymMonomialVector(degree, nvars, coeffs)
 
 
 def F_of_set(words: Iterable[ColoredWord], order: ShuffleOrder, nvars: int | None = None) -> QSymMonomialVector:
@@ -115,40 +125,33 @@ def F_of_set(words: Iterable[ColoredWord], order: ShuffleOrder, nvars: int | Non
 
 
 def is_symmetric(vec: QSymMonomialVector) -> bool:
-    """Invariance of coefficients under sorting the exponent vector."""
-    canonical: dict[Exponents, int] = {}
+    """Invariance of coefficients under permuting the variables.
+
+    Groups the stored exponent vectors by their sorted rearrangement: the
+    vector is symmetric when each group has one coefficient and as many
+    members as its orbit under the symmetric group.  Stored coefficients
+    are nonzero, so a full count means every rearrangement is present.
+    """
+    groups: dict[Exponents, list[int]] = {}  # sorted exponents -> [coefficient, members]
     for exps, c in vec.coeffs.items():
         key = tuple(sorted(exps, reverse=True))
-        if canonical.setdefault(key, c) != c:
+        group = groups.get(key)
+        if group is None:
+            groups[key] = [c, 1]
+        elif group[0] != c:
             return False
-    for key, c in canonical.items():
-        orbit = set(_rearrangements(key, vec.nvars))
-        for exps in orbit:
-            if vec.coeffs.get(exps, 0) != c:
-                return False
-    return True
+        else:
+            group[1] += 1
+    return all(members == _orbit_size(key) for key, (_, members) in groups.items())
 
 
-def _rearrangements(exps: Exponents, nvars: int):
-    parts = [e for e in exps if e]
-    slots = list(range(nvars))
-
-    def rec(remaining: list[int], free: list[int]):
-        if not remaining:
-            yield tuple(free)
-            return
-        seen = set()
-        for i, e in enumerate(remaining):
-            if e in seen:
-                continue
-            seen.add(e)
-            for pos in range(len(free)):
-                if free[pos] == 0:
-                    free[pos] = e
-                    yield from rec(remaining[:i] + remaining[i + 1:], free)
-                    free[pos] = 0
-
-    yield from rec(parts, [0] * nvars)
+def _orbit_size(exps: Exponents) -> int:
+    """Number of distinct rearrangements: nvars! over the product of the
+    factorials of the multiplicities, zeros included."""
+    size = factorial(len(exps))
+    for m in Counter(exps).values():
+        size //= factorial(m)
+    return size
 
 
 @lru_cache(maxsize=None)

@@ -267,14 +267,18 @@ def validate_tableau(tab: ColoredTableau) -> bool:
 def sqread(tab: ColoredTableau) -> ColoredWord:
     """Diagonal reading word: per diagonal from the southwest, unbarred
     entries toward the northwest, then barred entries toward the southeast."""
-    diagonals: dict[int, list[Box]] = {}
-    for box in tab.boxes:
-        diagonals.setdefault(box[0] - box[1], []).append(box)
+    diagonals: dict[int, list[tuple[int, Letter]]] = {}
+    for (r, c), x in tab.entries.items():
+        diagonals.setdefault(r - c, []).append((r, x))
     out: list[Letter] = []
     for d in sorted(diagonals, reverse=True):
-        boxes = sorted(diagonals[d], reverse=True)
-        out.extend(tab[b] for b in boxes if not tab[b].barred)
-        out.extend(tab[b] for b in reversed(boxes) if tab[b].barred)
+        barred: list[Letter] = []
+        for _, x in sorted(diagonals[d], reverse=True):
+            if x.barred:
+                barred.append(x)
+            else:
+                out.append(x)
+        out.extend(reversed(barred))
     return tuple(out)
 
 
@@ -296,24 +300,21 @@ def insert(word: ColoredWord, order: ShuffleOrder) -> ColoredTableau:
     barred letter bumps the smallest entry that is strictly above it or an
     equal barred letter.
     """
+    rank = order._rank
     rows: list[list[Letter]] = []
     for x in word:
-        r = 0
-        while True:
-            if r == len(rows):
-                rows.append([x])
-                break
-            row = rows[r]
-            bump = None
+        for row in rows:
+            rx = rank[x]
+            barred = x.barred
             for i, y in enumerate(row):
-                if order.rank(y) > order.rank(x) or (y == x and x.barred):
-                    bump = i
+                if rank[y] > rx or (barred and y == x):
+                    row[i], x = x, y
                     break
-            if bump is None:
+            else:
                 row.append(x)
                 break
-            row[bump], x = x, row[bump]
-            r += 1
+        else:
+            rows.append([x])
     return ColoredTableau.from_rows(rows, order)
 
 

@@ -8,6 +8,7 @@ them directly.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import product
 from typing import Iterable, Sequence
 
@@ -68,9 +69,7 @@ def verify_jnu(ideal: IdealSpec, N: int, max_size: int, nu_list: Sequence[tuple[
     results = []
     for nu in (nu_list if nu_list is not None else _partition_range(max_size)):
         nu = check_partition(nu)
-        total = NCPoly()
-        for tab in enumerate_tableaux(nu, order, top):
-            total = total + NCPoly.from_word(sqread(tab))
+        total = NCPoly(Counter(sqread(tab) for tab in enumerate_tableaux(nu, order, top)))
         member = ideal_contains(ideal, J_nu(nu, N) - total)
         results.append({"nu": list(nu), "member": member})
     return {
@@ -90,9 +89,7 @@ def verify_jplac(order: ShuffleOrder, max_size: int, nu_list: Sequence[tuple[int
     results = []
     for nu in (nu_list if nu_list is not None else _partition_range(max_size)):
         nu = check_partition(nu)
-        total = NCPoly()
-        for tab in enumerate_tableaux(nu, order, top):
-            total = total + NCPoly.from_word(column_reading(tab))
+        total = NCPoly(Counter(column_reading(tab) for tab in enumerate_tableaux(nu, order, top)))
         member = ideal_contains(ideal, J_nu(nu, order.N, order) - total)
         results.append({"nu": list(nu), "member": member})
     return {
@@ -393,9 +390,7 @@ def verify_flagged(N: int = 2, max_alpha_weight: int = 4, box: int = 3) -> dict:
                         if w_word:
                             inserts[j - 1] = w_word
                         lhs = NCPoly.from_word(v_word) * J_augmented(alpha, flags, inserts, N)
-                        rhs = NCPoly()
-                        for completion in _completions(tab, flags, order, full_boxes):
-                            rhs = rhs + NCPoly.from_word(sqread(completion))
+                        rhs = NCPoly(Counter(sqread(c) for c in _completions(tab, flags, order, full_boxes)))
                         checked += 1
                         if not ideal_contains(ideal, lhs - rhs):
                             failures.append(

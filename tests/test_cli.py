@@ -103,6 +103,14 @@ def test_verify_exit_codes(capsys):
     assert code == 1 and payload["ok"] is False and "witness" in payload
 
 
+def test_resource_limit_has_its_own_exit_code(capsys, monkeypatch):
+    monkeypatch.setenv("SUPRSCHUR_BUDGET", "2")
+    code = main(["verify", "jnu", "--nu", "2,2", "--N", "2", "--ideal", "kron"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert "over the budget of 2" in captured.err
+
+
 def test_usage_errors(capsys):
     with pytest.raises(SystemExit) as err:
         main(["no-such-verb"])

@@ -64,6 +64,8 @@ def test_ncpoly_arithmetic_and_text():
     assert f.degree() == 2
     assert NCPoly.from_text(f.to_text()) == f
     assert (f - f) == NCPoly()
+    # the degree-3 products cancel
+    assert (P("1") + P("1 1")) * (P("1 1") - P("1")) == P("1 1 1 1") - P("1 1")
     assert NCPoly.one() * f == f
     with pytest.raises(InvalidParameterError):
         (P("1") + P("1 1")).degree()

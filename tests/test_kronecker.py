@@ -5,6 +5,7 @@ import pytest
 from suprschur.alphabet_words import enumerate_cyw, natural_order
 from suprschur.errors import InvalidParameterError, ResourceLimitError
 from suprschur.kronecker import (
+    _sqread_shape_census,
     character_table,
     class_size,
     g_hook_oracle,
@@ -86,6 +87,16 @@ def test_hook_rule_examples():
         g_hook_rule((2, 1), 3, (2, 1))
     with pytest.raises(InvalidParameterError):
         hook(3, 3)
+
+
+def test_census_cache_cannot_be_mutated():
+    census = _sqread_shape_census((2, 1), 1)
+    with pytest.raises((AttributeError, TypeError)):
+        census.clear()
+    with pytest.raises(TypeError):
+        census[((2, 1), False)] = 0
+    assert g_hook_rule((2, 1), 1, (2, 1)) == g_hook_oracle((2, 1), 1, (2, 1)) == 1
+    assert g_sum_rule((2, 1), 1, (2, 1)) == g_sum_oracle((2, 1), 1, (2, 1)) == 2
 
 
 def test_hook_rules_match_oracle_small():

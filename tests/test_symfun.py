@@ -75,6 +75,102 @@ def test_schur_expand_trivial_and_errors():
         schur_expand(QSymMonomialVector(3, 2, {(2, 1): 1, (1, 2): 1}))
 
 
+def _rearrangements(exps, nvars):
+    """Every distinct placement of the nonzero parts into nvars slots."""
+    parts = [e for e in exps if e]
+    slots = [0] * nvars
+
+    def rec(remaining):
+        if not remaining:
+            yield tuple(slots)
+            return
+        seen = set()
+        for i, e in enumerate(remaining):
+            if e in seen:
+                continue
+            seen.add(e)
+            for pos in range(nvars):
+                if slots[pos] == 0:
+                    slots[pos] = e
+                    yield from rec(remaining[:i] + remaining[i + 1:])
+                    slots[pos] = 0
+
+    yield from rec(parts)
+
+
+def _is_symmetric_by_orbits(vec):
+    """Reference check: enumerate each orbit and look up every member."""
+    canonical = {}
+    for exps, c in vec.coeffs.items():
+        if canonical.setdefault(tuple(sorted(exps, reverse=True)), c) != c:
+            return False
+    return all(
+        vec.coeffs.get(exps, 0) == c
+        for key, c in canonical.items()
+        for exps in set(_rearrangements(key, vec.nvars))
+    )
+
+
+def _random_symmetric(rng, degree, nvars):
+    """A random integer combination of monomial symmetric polynomials."""
+    coeffs = {}
+    for nu in partitions_of(degree):
+        if len(nu) > nvars or rng.random() < 0.4:
+            continue
+        c = rng.choice([-3, -2, -1, 1, 2, 5])
+        key = nu + (0,) * (nvars - len(nu))
+        coeffs.update((exps, c) for exps in _rearrangements(key, nvars))
+    return QSymMonomialVector(degree, nvars, coeffs)
+
+
+def test_is_symmetric_matches_orbit_enumeration():
+    rng = random.Random(11)
+    verdicts = {True: 0, False: 0}
+    for _ in range(300):
+        degree = rng.randint(0, 5)
+        nvars = rng.randint(max(degree, 1), degree + 2)
+        vec = _random_symmetric(rng, degree, nvars)
+        variants = [vec]
+        if vec.coeffs:
+            exps = rng.choice(sorted(vec.coeffs))
+            missing = dict(vec.coeffs)
+            del missing[exps]
+            changed = dict(vec.coeffs)
+            changed[exps] += rng.choice([-1, 1, 2])
+            variants += [QSymMonomialVector(degree, nvars, missing), QSymMonomialVector(degree, nvars, changed)]
+        for candidate in variants:
+            expected = _is_symmetric_by_orbits(candidate)
+            assert is_symmetric(candidate) == expected
+            verdicts[expected] += 1
+    assert verdicts[True] > 100 and verdicts[False] > 100
+    # degree 0: the constant is symmetric in any number of variables
+    for nvars in (1, 3):
+        constant = QSymMonomialVector(0, nvars, {(0,) * nvars: 7})
+        assert is_symmetric(constant) and _is_symmetric_by_orbits(constant)
+        assert schur_expand(constant) == {(): 7}
+
+
+def test_schur_expand_recovers_random_combinations():
+    rng = random.Random(23)
+    for n in range(1, 6):
+        for nvars in (n, n + 1):
+            for _ in range(4):
+                expected = {nu: rng.choice([-4, -2, -1, 1, 3]) for nu in partitions_of(n) if rng.random() < 0.6}
+                vec = QSymMonomialVector(n, nvars)
+                for nu, c in expected.items():
+                    vec.add_inplace(QSymMonomialVector(n, nvars, schur_monomials(nu, nvars)), c)
+                assert is_symmetric(vec)
+                assert schur_expand(vec) == expected
+
+
+def test_fundamental_qsym_returns_a_fresh_vector():
+    q = fundamental_qsym(frozenset(), 2, 2)
+    q.add_inplace(q)
+    assert q.coeffs == {(2, 0): 2, (1, 1): 2, (0, 2): 2}
+    assert fundamental_qsym(frozenset(), 2, 2).coeffs == {(2, 0): 1, (1, 1): 1, (0, 2): 1}
+    assert F_of_set([w("1 1")], natural_order(1), nvars=2).coeffs == {(2, 0): 1, (1, 1): 1, (0, 2): 1}
+
+
 def test_schur_monomials_is_kostka():
     # columns of the transition matrix are Kostka numbers
     mono = schur_monomials((2, 1), 3)

@@ -22,6 +22,7 @@ from suprschur.alphabet_words import (
     all_words,
     barred,
     big_bar_order,
+    enumerate_cyw,
     letter_from_code,
     natural_order,
     parse_word,
@@ -134,12 +135,64 @@ def test_insert_sqread_fixed_point_on_tableaux():
                     assert insert(sqread(tab), order) == tab
 
 
+def _insert_reference(word, order):
+    rows = []
+    for x in word:
+        r = 0
+        while True:
+            if r == len(rows):
+                rows.append([x])
+                break
+            row = rows[r]
+            bump = None
+            for i, y in enumerate(row):
+                if order.rank(y) > order.rank(x) or (y == x and x.barred):
+                    bump = i
+                    break
+            if bump is None:
+                row.append(x)
+                break
+            row[bump], x = x, row[bump]
+            r += 1
+    return ColoredTableau.from_rows(rows, order)
+
+
+def _sqread_reference(tab):
+    diagonals = {}
+    for box in tab.boxes:
+        diagonals.setdefault(box[0] - box[1], []).append(box)
+    out = []
+    for d in sorted(diagonals, reverse=True):
+        boxes = sorted(diagonals[d], reverse=True)
+        out.extend(tab[b] for b in boxes if not tab[b].barred)
+        out.extend(tab[b] for b in reversed(boxes) if tab[b].barred)
+    return tuple(out)
+
+
+def test_insert_and_sqread_match_reference_on_yamanouchi_words():
+    count = 0
+    for n in range(1, 7):
+        for lam in partitions_of(n):
+            N = len(lam)
+            for d in range(n + 1):
+                for word in enumerate_cyw(lam, d):
+                    count += 1
+                    for order in (natural_order(N), big_bar_order(N)):
+                        tab = insert(word, order)
+                        assert tab == _insert_reference(word, order)
+                        assert sqread(tab) == _sqread_reference(tab)
+    assert count == 5898
+
+
 @settings(max_examples=200)
 @given(st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=8))
 def test_insert_always_yields_valid_tableau(codes):
     word = tuple(letter_from_code(c) for c in codes)
     for order in (natural_order(3), big_bar_order(3)):
-        assert validate_tableau(insert(word, order))
+        tab = insert(word, order)
+        assert validate_tableau(tab)
+        assert tab == _insert_reference(word, order)
+        assert sqread(tab) == _sqread_reference(tab)
 
 
 def test_enumerate_tableaux_examples():
