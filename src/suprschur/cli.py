@@ -14,7 +14,6 @@ import json
 import sys
 
 from .alphabet_words import (
-    big_bar_order,
     enumerate_cyw,
     natural_order,
     parse_order,
@@ -64,10 +63,6 @@ def _infer_N(args, *words) -> int:
         return args.N
     values = [x.value for w in words for x in w]
     return max(values) if values else 1
-
-
-def _order_for(text: str, N: int):
-    return parse_order(text, N)
 
 
 def _cmd_kron(args) -> int:
@@ -166,7 +161,7 @@ def _cmd_switchboard(args) -> int:
 
 def _cmd_insert(args) -> int:
     word = parse_word(args.word)
-    order = _order_for(args.order, _infer_N(args, word))
+    order = parse_order(args.order, _infer_N(args, word))
     tab = insert(word, order)
     payload = {"word": word_str(word), "tableau": tab.to_text().splitlines()}
     _emit(payload, tab.to_text().splitlines(), args.pretty)
@@ -176,7 +171,7 @@ def _cmd_insert(args) -> int:
 def _cmd_sqread(args) -> int:
     text = args.tableau
     rows = [parse_word(part) for part in text.replace("/", "\n").splitlines() if part.strip()]
-    order = _order_for(args.order, _infer_N(args, *rows))
+    order = parse_order(args.order, _infer_N(args, *rows))
     tab = ColoredTableau.from_rows(rows, order)
     if not validate_tableau(tab):
         raise MalformedInputError("not a valid colored tableau for the order")
@@ -188,8 +183,8 @@ def _cmd_sqread(args) -> int:
 def _cmd_convert_word(args) -> int:
     word = parse_word(args.word)
     N = _infer_N(args, word)
-    frm = _order_for(args.frm, N)
-    to = _order_for(args.to, N)
+    frm = parse_order(args.frm, N)
+    to = parse_order(args.to, N)
     out = word_convert(word, frm, to)
     _emit({"word": word_str(word), "converted": word_str(out)}, [word_str(out)], args.pretty)
     return 0
@@ -198,8 +193,8 @@ def _cmd_convert_word(args) -> int:
 def _cmd_convert_tableau(args) -> int:
     rows = [parse_word(part) for part in args.tableau.replace("/", "\n").splitlines() if part.strip()]
     N = _infer_N(args, *rows)
-    frm = _order_for(args.frm, N)
-    to = _order_for(args.to, N)
+    frm = parse_order(args.frm, N)
+    to = parse_order(args.to, N)
     tab = ColoredTableau.from_rows(rows, frm)
     if not validate_tableau(tab):
         raise MalformedInputError("not a valid colored tableau for the source order")
@@ -237,30 +232,25 @@ def _cmd_lascoux(args) -> int:
     return 0
 
 
+def _nu_list(args) -> list[tuple[int, ...]] | None:
+    return [parse_partition(args.nu)] if args.nu else None
+
+
+# verify target -> runner from the parsed arguments to the target's report
+VERIFY_TARGETS = {
+    "jnu": lambda args: verify_mod.verify_jnu(parse_ideal(args.ideal, args.N), args.N, args.max_size, _nu_list(args)),
+    "jplac": lambda args: verify_mod.verify_jplac(parse_order(args.order, args.N), args.max_size, _nu_list(args)),
+    "commute-e": lambda args: verify_mod.verify_commutation(parse_ideal(args.ideal, args.N), args.max_degree, "e"),
+    "commute-h": lambda args: verify_mod.verify_commutation(parse_ideal(args.ideal, args.N), args.max_degree, "h"),
+    "flagged": lambda args: verify_mod.verify_flagged(args.N, args.max_alpha, args.box),
+    "perp": lambda args: verify_mod.verify_perp_cyw(parse_partition(args.lam), args.d, parse_ideal(args.ideal, args.N)),
+    "conjecture61": lambda args: verify_mod.verify_conjecture_jnu_kronknuth(args.N, args.max_size),
+    "conversion-bijection": lambda args: verify_mod.verify_conversion_bijection(args.max_size),
+}
+
+
 def _cmd_verify(args) -> int:
-    target = args.target
-    if target == "jnu":
-        ideal = parse_ideal(args.ideal, args.N)
-        nu_list = [parse_partition(args.nu)] if args.nu else None
-        report = verify_mod.verify_jnu(ideal, args.N, args.max_size, nu_list)
-    elif target == "jplac":
-        order = _order_for(args.order, args.N)
-        nu_list = [parse_partition(args.nu)] if args.nu else None
-        report = verify_mod.verify_jplac(order, args.max_size, nu_list)
-    elif target == "conjecture61":
-        report = verify_mod.verify_conjecture_jnu_kronknuth(args.N, args.max_size)
-    elif target in ("commute-e", "commute-h"):
-        ideal = parse_ideal(args.ideal, args.N)
-        report = verify_mod.verify_commutation(ideal, args.max_degree, target[-1])
-    elif target == "perp":
-        ideal = parse_ideal(args.ideal, args.N)
-        report = verify_mod.verify_perp_cyw(parse_partition(args.lam), args.d, ideal)
-    elif target == "flagged":
-        report = verify_mod.verify_flagged(args.N, args.max_alpha, args.box)
-    elif target == "conversion-bijection":
-        report = verify_mod.verify_conversion_bijection(args.max_size)
-    else:  # pragma: no cover - argparse restricts the choices
-        raise InvalidParameterError(f"unknown verify target {target!r}")
+    report = VERIFY_TARGETS[args.target](args)
     _emit(report, None, args.pretty)
     return 0 if report["ok"] else 1
 
@@ -345,19 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="batch verification targets")
     common(p)
-    p.add_argument(
-        "target",
-        choices=[
-            "jnu",
-            "jplac",
-            "commute-e",
-            "commute-h",
-            "flagged",
-            "perp",
-            "conjecture61",
-            "conversion-bijection",
-        ],
-    )
+    p.add_argument("target", choices=list(VERIFY_TARGETS))
     p.add_argument("--ideal", default="kron")
     p.add_argument("--order", default="natural")
     p.add_argument("--nu", default="")

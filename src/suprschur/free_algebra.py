@@ -24,8 +24,6 @@ from .alphabet_words import (
     ColoredWord,
     Letter,
     ShuffleOrder,
-    double_down,
-    down_arrow,
     letter_from_code,
     natural_order,
     parse_word,
@@ -306,22 +304,12 @@ def generator_polys(spec: IdealSpec) -> list[NCPoly]:
 
 
 @lru_cache(maxsize=None)
-def _binary_window_map(spec_key, family: str, N: int, order_key) -> dict[ColoredWord, tuple[ColoredWord, ...]]:
-    del spec_key  # the remaining arguments reconstruct the spec; key kept for clarity
-    if family == "plac":
-        order = ShuffleOrder(tuple(letter_from_code(c) for c in order_key))
-        spec = plac_ideal(order)
-    else:
-        spec = IdealSpec(family, N)
+def binary_window_map(spec: IdealSpec) -> dict[ColoredWord, tuple[ColoredWord, ...]]:
     moves: dict[ColoredWord, list[ColoredWord]] = {}
     for w1, w2 in binary_pairs(spec):
         moves.setdefault(w1, []).append(w2)
         moves.setdefault(w2, []).append(w1)
     return {w: tuple(ps) for w, ps in moves.items()}
-
-
-def binary_window_map(spec: IdealSpec) -> dict[ColoredWord, tuple[ColoredWord, ...]]:
-    return _binary_window_map(spec.key(), spec.family, spec.N, spec.order.key() if spec.order else None)
 
 
 def _is_rotation_window(window: ColoredWord) -> tuple[Letter, Letter, Letter] | None:

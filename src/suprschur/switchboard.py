@@ -22,7 +22,7 @@ from .alphabet_words import (
     word_str,
 )
 from .errors import ConstructionFailureError, VerificationFailureError
-from .free_algebra import NCPoly, kron_ideal, kronknuth_ideal, perp_contains
+from .free_algebra import NCPoly, kron_ideal, perp_contains
 from .symfun import F_of_set, SymFunc, schur_expand, schur_expand_by_tableaux
 
 KNUTH = "knuth"

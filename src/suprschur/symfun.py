@@ -12,7 +12,7 @@ from collections import Counter
 from functools import lru_cache
 from math import factorial
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .alphabet_words import (
     ColoredWord,
@@ -22,7 +22,7 @@ from .alphabet_words import (
     descent_set,
 )
 from .errors import InvalidParameterError, NotSymmetricError
-from .tableaux import check_partition, partitions_of
+from .tableaux import check_partition, tableaux_with_sqread_in
 
 Exponents = tuple[int, ...]
 SymFunc = dict[tuple[int, ...], int]  # partition -> coefficient in the Schur basis
@@ -155,16 +155,17 @@ def _orbit_size(exps: Exponents) -> int:
 
 
 @lru_cache(maxsize=None)
-def schur_monomials(nu: tuple[int, ...], nvars: int) -> dict[Exponents, int]:
+def schur_monomials(nu: tuple[int, ...], nvars: int) -> Mapping[Exponents, int]:
     """Monomial expansion of the Schur polynomial by semistandard tableau
-    enumeration (Kostka numbers)."""
+    enumeration (Kostka numbers), read-only, so the cache can hand it to
+    every caller."""
     nu = check_partition(nu) if nu else ()
     coeffs: dict[Exponents, int] = {}
     rows = len(nu)
     if rows > nvars:
-        return {}
+        return MappingProxyType(coeffs)
     if not nu:
-        return {(0,) * nvars: 1}
+        return MappingProxyType({(0,) * nvars: 1})
     tableau = [[0] * part for part in nu]
     boxes = [(r, c) for r, part in enumerate(nu) for c in range(part)]
 
@@ -186,7 +187,7 @@ def schur_monomials(nu: tuple[int, ...], nvars: int) -> dict[Exponents, int]:
         tableau[r][c] = 0
 
     rec(0)
-    return coeffs
+    return MappingProxyType(coeffs)
 
 
 def schur_expand(vec: QSymMonomialVector) -> SymFunc:
@@ -215,22 +216,8 @@ def schur_expand(vec: QSymMonomialVector) -> SymFunc:
 def schur_expand_by_tableaux(words: Iterable[ColoredWord], order: ShuffleOrder) -> SymFunc:
     """Coefficient of each Schur function as a count of colored tableaux
     whose diagonal reading word lies in the set."""
-    from .tableaux import enumerate_tableaux, sqread
-
-    pool = set(words)
-    if not pool:
-        return {}
-    lengths = {len(w) for w in pool}
-    if len(lengths) > 1:
-        raise InvalidParameterError("all words must have the same length")
-    degree = lengths.pop()
-    top = max((x for w in pool for x in w), key=order.rank)
-    out: SymFunc = {}
-    for nu in partitions_of(degree):
-        count = sum(1 for T in enumerate_tableaux(nu, order, top) if sqread(T) in pool)
-        if count:
-            out[nu] = count
-    return out
+    found = tableaux_with_sqread_in(words, order)
+    return {nu: len(found[nu]) for nu in sorted(found, reverse=True)}
 
 
 def symfunc_str(f: SymFunc) -> str:

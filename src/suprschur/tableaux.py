@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .alphabet_words import (
@@ -124,17 +123,6 @@ class RestrictedShape:
             boxes.update((r, c) for r in range(cut + 1, height + 1))
         return cls(boxes)
 
-    def is_partition_shape(self) -> bool:
-        return all(top == 1 for top, _ in self.column_intervals)
-
-    def as_partition(self) -> tuple[int, ...]:
-        if not self.is_partition_shape():
-            raise InvalidParameterError("not a partition shape")
-        widths: dict[int, int] = {}
-        for r, c in self.boxes:
-            widths[r] = max(widths.get(r, 0), c)
-        return tuple(widths[r] for r in sorted(widths))
-
     def serialize(self) -> list[tuple[int, int]]:
         return list(self.column_intervals)
 
@@ -184,7 +172,7 @@ def restricted_shapes_in_box(max_rows: int, max_cols: int, max_boxes: int | None
 class ColoredTableau:
     """A filling of a shape by letters, tagged with the order it lives in."""
 
-    __slots__ = ("entries", "order", "boxes", "_hash")
+    __slots__ = ("entries", "order", "boxes")
 
     def __init__(self, entries: Mapping[Box, Letter], order: ShuffleOrder, shape: RestrictedShape | None = None):
         entries = dict(entries)
@@ -198,7 +186,6 @@ class ColoredTableau:
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "boxes", frozenset(entries))
-        object.__setattr__(self, "_hash", hash((frozenset(entries.items()), order)))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Letter]], order: ShuffleOrder) -> "ColoredTableau":
@@ -226,9 +213,6 @@ class ColoredTableau:
     def row_words(self) -> list[list[Letter]]:
         return [[x for _, x in cells] for _, cells in self.rows()]
 
-    def word_multiset(self) -> tuple[Letter, ...]:
-        return tuple(sorted(self.entries.values()))
-
     def to_text(self) -> str:
         return "\n".join(word_str(row) for row in self.row_words())
 
@@ -243,7 +227,7 @@ class ColoredTableau:
         )
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((frozenset(self.entries.items()), self.order))
 
     def __repr__(self) -> str:
         return f"ColoredTableau({self.to_text()!r})"
@@ -316,6 +300,26 @@ def insert(word: ColoredWord, order: ShuffleOrder) -> ColoredTableau:
         else:
             rows.append([x])
     return ColoredTableau.from_rows(rows, order)
+
+
+def tableaux_with_sqread_in(words: Iterable[ColoredWord], order: ShuffleOrder) -> dict[tuple[int, ...], set[ColoredTableau]]:
+    """All colored tableaux for the order whose diagonal reading word lies in
+    the set, grouped by shape.
+
+    A tableau is the insertion tableau of its own reading word, so the only
+    tableau that can read to w is P(w), and it does exactly when
+    sqread(P(w)) == w.
+    """
+    pool = set(words)
+    if len({len(w) for w in pool}) > 1:
+        raise InvalidParameterError("all words must have the same length")
+    out: dict[tuple[int, ...], set[ColoredTableau]] = {}
+    for w in pool:
+        tab = insert(w, order)
+        if sqread(tab) == w:
+            shape = tuple(len(cells) for _, cells in tab.rows())
+            out.setdefault(shape, set()).add(tab)
+    return out
 
 
 def enumerate_fillings(shape: RestrictedShape, order: ShuffleOrder, max_letter: Letter) -> Iterator[ColoredTableau]:

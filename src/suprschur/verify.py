@@ -25,7 +25,6 @@ from .alphabet_words import (
     natural_order,
     word_str,
 )
-from .errors import InvalidParameterError
 from .free_algebra import (
     IdealSpec,
     J_augmented,
@@ -54,6 +53,7 @@ from .tableaux import (
     partitions_of,
     restricted_shapes_in_box,
     sqread,
+    tableaux_with_sqread_in,
 )
 
 
@@ -149,23 +149,6 @@ def verify_perp_cyw(lam: Sequence[int], d: int, ideal: IdealSpec) -> dict:
 
 # ---------------------------------------------------------------------------
 # conversion bijection
-
-
-def tableaux_with_sqread_in(words: Iterable[ColoredWord], order: ShuffleOrder) -> dict[tuple[int, ...], set[ColoredTableau]]:
-    """All colored tableaux for the order whose diagonal reading word lies in
-    the set, grouped by shape."""
-    pool = set(words)
-    lengths = {len(w) for w in pool}
-    if len(lengths) != 1:
-        raise InvalidParameterError("words must be nonempty and of one length")
-    degree = lengths.pop()
-    top = max((x for w in pool for x in w), key=order.rank)
-    out: dict[tuple[int, ...], set[ColoredTableau]] = {}
-    for nu in partitions_of(degree):
-        found = {tab for tab in enumerate_tableaux(nu, order, top) if sqread(tab) in pool}
-        if found:
-            out[nu] = found
-    return out
 
 
 def conversion_bijection_holds(words: Iterable[ColoredWord]) -> bool:

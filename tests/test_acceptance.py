@@ -236,9 +236,10 @@ def test_criterion_08c_conversion_bijection():
         [w(word) for col in CYW32_COLUMNS[1:3] for word in col],
         [w(word) for col in CYW32_COLUMNS[3:5] for word in col],
     ]
-    outcome = verify_conversion_bijection(5, extra_sets=column_sets)
+    outcome = verify_conversion_bijection(7, extra_sets=column_sets)
+    assert len(outcome["results"]) == 284 + len(column_sets)
     assert outcome["ok"], outcome
-    report("8c (conversion bijection on Yamanouchi sets and column subsets)", started)
+    report("8c (conversion bijection on Yamanouchi sets of size <= 7 and column subsets)", started)
 
 
 def test_criterion_08d_nontail_removable():

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from suprschur.cli import main
+from suprschur.cli import VERIFY_TARGETS, main
 
 from golden_data import CYW31_D1_WORDS
 
@@ -117,3 +117,29 @@ def test_usage_errors(capsys):
     assert err.value.code == 2
     assert main(["insert", "--word", "junk"]) == 2
     assert main(["sqread", "--tableau", "1' 1'"]) == 2
+
+
+# every verify target at a small scale, by the arguments it reads
+SMALL_VERIFY_RUNS = {
+    "jnu": ["--max-size", "2"],
+    "jplac": ["--order", "bigbar", "--max-size", "3"],
+    "commute-e": ["--ideal", "kron", "--max-degree", "4"],
+    "commute-h": ["--ideal", "plac-natural", "--max-degree", "4"],
+    "flagged": ["--max-alpha", "1", "--box", "2"],
+    "perp": ["--lambda", "2,1", "--d", "1"],
+    "conjecture61": ["--max-size", "2"],
+    "conversion-bijection": ["--max-size", "3"],
+}
+
+
+@pytest.mark.parametrize("target", sorted(SMALL_VERIFY_RUNS))
+def test_every_verify_target_runs(capsys, target):
+    code, out = run(capsys, "verify", target, *SMALL_VERIFY_RUNS[target], "--N", "2")
+    assert code == 0 and json.loads(out)["target"] == target
+
+
+def test_verify_choices_are_the_target_table():
+    assert list(VERIFY_TARGETS) == list(SMALL_VERIFY_RUNS)
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "no-such-target"])
+    assert err.value.code == 2

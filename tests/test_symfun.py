@@ -177,6 +177,19 @@ def test_schur_monomials_is_kostka():
     assert mono[(2, 1, 0)] == 1 and mono[(1, 1, 1)] == 2
 
 
+def test_schur_monomials_cannot_be_mutated():
+    # the cache hands the same expansion to every caller, schur_expand included
+    for nu, nvars in (((2, 1), 3), ((), 2), ((1, 1, 1), 2)):
+        mono = schur_monomials(nu, nvars)
+        with pytest.raises(TypeError):
+            mono[(0,) * nvars] = 5
+        with pytest.raises(TypeError):
+            del mono[(0,) * nvars]
+        assert not hasattr(mono, "clear")
+    assert schur_monomials((2, 1), 3)[(1, 1, 1)] == 2
+    assert schur_expand(QSymMonomialVector(3, 3, schur_monomials((2, 1), 3))) == {(2, 1): 1}
+
+
 def test_component_expansions_golden():
     nat = natural_order(2)
     for expected, pairs in CYW33_COMPONENTS:

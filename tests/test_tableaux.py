@@ -1,9 +1,11 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from golden_data import (
+    CYW32_COLUMNS,
     RCT18_ARROW_RESPECTING,
     RCT18_NE_MAXIMAL,
     RCT18_NONTAIL,
@@ -55,6 +57,7 @@ from suprschur.tableaux import (
     sqread,
     standard_tableaux,
     superstandard,
+    tableaux_with_sqread_in,
     validate_tableau,
 )
 
@@ -125,14 +128,31 @@ def test_insert_examples():
     assert insert(w("2'"), nat) == ColoredTableau.from_rows([[barred(2)]], nat)
 
 
+def _shuffle_orders(N):
+    """Every shuffle order on N letters: choose the ranks of 1..N."""
+    for positions in combinations(range(2 * N), N):
+        letters = [None] * (2 * N)
+        for value, pos in enumerate(positions, start=1):
+            letters[pos] = unbarred(value)
+        barred_letters = iter(barred(value) for value in range(1, N + 1))
+        yield ShuffleOrder(tuple(x if x is not None else next(barred_letters) for x in letters))
+
+
 def test_insert_sqread_fixed_point_on_tableaux():
-    # reading a tableau diagonally and inserting the word recovers the tableau
-    for order in (natural_order(2), big_bar_order(2)):
-        top = order.max_letter()
-        for n in range(1, 5):
-            for nu in partitions_of(n):
-                for tab in enumerate_tableaux(nu, order, top):
-                    assert insert(sqread(tab), order) == tab
+    # reading a tableau diagonally and inserting the word recovers the tableau,
+    # in every shuffle order; tableaux_with_sqread_in rests on this
+    count = 0
+    for N, max_boxes in ((2, 6), (3, 4)):
+        orders = list(_shuffle_orders(N))
+        assert len(orders) == len(set(orders)) == len(list(combinations(range(2 * N), N)))
+        for order in orders:
+            top = order.max_letter()
+            for n in range(1, max_boxes + 1):
+                for nu in partitions_of(n):
+                    for tab in enumerate_tableaux(nu, order, top):
+                        count += 1
+                        assert insert(sqread(tab), order) == tab
+    assert count == 5496 + 14800
 
 
 def _insert_reference(word, order):
@@ -182,6 +202,56 @@ def test_insert_and_sqread_match_reference_on_yamanouchi_words():
                         assert tab == _insert_reference(word, order)
                         assert sqread(tab) == _sqread_reference(tab)
     assert count == 5898
+
+
+def _tableaux_with_sqread_in_reference(words, order):
+    """Every tableau of every shape with entries up to the largest letter,
+    kept when its reading word is in the set."""
+    pool = set(words)
+    lengths = {len(w) for w in pool}
+    if len(lengths) != 1:
+        raise InvalidParameterError("words must be nonempty and of one length")
+    degree = lengths.pop()
+    top = max((x for w in pool for x in w), key=order.rank)
+    out = {}
+    for nu in partitions_of(degree):
+        found = {tab for tab in enumerate_tableaux(nu, order, top) if sqread(tab) in pool}
+        if found:
+            out[nu] = found
+    return out
+
+
+def test_tableaux_with_sqread_in_matches_reference():
+    cases = []
+    for n in range(1, 6):
+        for lam in partitions_of(n):
+            for d in range(n + 1):
+                words = enumerate_cyw(lam, d)
+                cases.extend((words, order) for order in (natural_order(len(lam)), big_bar_order(len(lam))))
+    assert len(cases) == 174
+    column_sets = [
+        [w(word) for word in CYW32_COLUMNS[0]],
+        [w(word) for col in CYW32_COLUMNS[1:3] for word in col],
+        [w(word) for col in CYW32_COLUMNS[3:5] for word in col],
+    ]
+    cases.extend((words, order) for words in column_sets for order in (natural_order(2), big_bar_order(2)))
+    for words, order in cases:
+        found = tableaux_with_sqread_in(words, order)
+        assert found == _tableaux_with_sqread_in_reference(words, order)
+        assert all(tab.order == order and validate_tableau(tab) for tabs in found.values() for tab in tabs)
+
+
+def test_tableaux_with_sqread_in_edge_cases():
+    nat = natural_order(2)
+    assert tableaux_with_sqread_in([], nat) == {}
+    with pytest.raises(InvalidParameterError):
+        tableaux_with_sqread_in([w("1 2"), w("1")], nat)
+    # 2 1 1 reads the tableau 1 1 / 2 and 1 1 2 the row 1 1 2;
+    # 1 2 1 inserts to 1 1 / 2 but is not its reading word
+    assert tableaux_with_sqread_in([w("2 1 1"), w("1 1 2"), w("1 2 1")], nat) == {
+        (3,): {ColoredTableau.parse("1 1 2", nat)},
+        (2, 1): {ColoredTableau.parse("1 1 / 2", nat)},
+    }
 
 
 @settings(max_examples=200)
