@@ -1,13 +1,20 @@
-"""The free algebra on colored words, its relation ideals, and exact
-degree-bounded membership tests.
+"""The free algebra on colored words, its relation ideals, and normal forms
+in the quotient U/I.
+
+Each ideal is given by one generator table, ``generator_windows``: every
+word of every generator maps to the generators containing it.  A padded
+generator ``left·g·right`` meets a word exactly where one of the word's
+windows is a key of the table, and ``_padded_generators`` walks those
+instances; the content spaces and the perp test both use it.
 
 All four relation families preserve the colored content of a word, so the
-degree-m component of each ideal splits across contents.  Membership is
-decided per content: the two-term relations are handled by a union-find on
-the words of that content (their padded instances span exactly the vectors
-with zero coefficient sum on every connected class), and the four-term
-rotation relations project to short rows over the classes, which a small
-exact elimination finishes off.
+degree-m component of each ideal splits across contents.  A content space
+models one content of U/I: the two-term generators are handled by a
+union-find on its words (their padded instances span exactly the vectors
+with zero coefficient sum on every connected class), and the longer ones
+project to rows over the classes, kept in echelon form.  One reduction by
+those rows gives a canonical normal form, so membership is "every content's
+form is zero" and congruence is "equal forms".
 """
 
 from __future__ import annotations
@@ -18,7 +25,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
 from math import factorial
-from typing import Iterable, Iterator, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .alphabet_words import (
     ColoredWord,
@@ -157,6 +165,8 @@ class NCPoly:
 # relation ideals
 
 FAMILIES = ("plac", "kron", "kronknuth", "jshuffle")
+
+Generator = tuple[tuple[ColoredWord, int], ...]  # a generator's (word, coeff) pairs
 
 
 @dataclass(frozen=True)
@@ -304,23 +314,30 @@ def generator_polys(spec: IdealSpec) -> list[NCPoly]:
 
 
 @lru_cache(maxsize=None)
-def binary_window_map(spec: IdealSpec) -> dict[ColoredWord, tuple[ColoredWord, ...]]:
-    moves: dict[ColoredWord, list[ColoredWord]] = {}
-    for w1, w2 in binary_pairs(spec):
-        moves.setdefault(w1, []).append(w2)
-        moves.setdefault(w2, []).append(w1)
-    return {w: tuple(ps) for w, ps in moves.items()}
+def generator_windows(spec: IdealSpec) -> Mapping[ColoredWord, tuple[Generator, ...]]:
+    """Each word of each generator, mapped to the generators that contain it.
+
+    A generator is a tuple of ``(word, coeff)`` pairs.  The table is cached
+    and shared, so it is read-only all the way down.
+    """
+    table: dict[ColoredWord, list[Generator]] = {}
+    for poly in generator_polys(spec):
+        gen = tuple(poly.terms.items())
+        for word in poly.terms:
+            table.setdefault(word, []).append(gen)
+    return MappingProxyType({word: tuple(gens) for word, gens in table.items()})
 
 
-def _is_rotation_window(window: ColoredWord) -> tuple[Letter, Letter, Letter] | None:
-    """The consecutive triple (x, y, z) when the window is one of the four
-    rotation arrangements, else None."""
-    x, y, z = sorted(window)
-    if not x < y < z or z - x != 2:
-        return None
-    if window in ((x, y, z), (z, y, x)):
-        return None
-    return x, y, z
+def _padded_generators(
+    table: Mapping[ColoredWord, tuple[Generator, ...]], w: ColoredWord
+) -> Iterator[tuple[ColoredWord, Generator, ColoredWord]]:
+    """Every padded generator ``left·g·right`` whose support contains ``w``,
+    as ``(left, g, right)``, by window start and then window width."""
+    for i in range(len(w) - 1):
+        # every generator has degree 2 or 3
+        for j in range(i + 2, min(i + 3, len(w)) + 1):
+            for gen in table.get(w[i:j], ()):
+                yield w[:i], gen, w[j:]
 
 
 def multiset_words(letters: Sequence[Letter]) -> Iterator[ColoredWord]:
@@ -381,14 +398,15 @@ class _ContentSpace:
             if ra != rb:
                 parent[max(ra, rb)] = min(ra, rb)
 
-        moves = binary_window_map(spec)
-        for wi, w in enumerate(self.words):
-            for i in range(len(w) - 1):
-                for width in (2, 3):
-                    if i + width > len(w):
-                        continue
-                    for partner in moves.get(w[i : i + width], ()):
-                        union(wi, self.index[w[:i] + partner + w[i + width:]])
+        table = generator_windows(spec)
+        longer = {}  # padded generators of three or more terms, de-duplicated
+        for w in self.words:
+            for left, gen, right in _padded_generators(table, w):
+                if len(gen) == 2:  # u - v: the two padded words are one class
+                    (u, _), (v, _) = gen
+                    union(self.index[left + u + right], self.index[left + v + right])
+                else:
+                    longer[left, gen, right] = None
         roots: dict[int, int] = {}
         self.class_of = []
         for i in range(len(self.words)):
@@ -396,104 +414,91 @@ class _ContentSpace:
             self.class_of.append(roots.setdefault(root, len(roots)))
         self.num_classes = len(roots)
 
-        # project the rotation relations onto the classes and echelonize
+        # pivot column -> the rest of its row; the pivot entry itself is 1
         self._pivots: dict[int, dict[int, Fraction]] = {}
-        if rotation_triples(spec):
-            seen = set()
-            for w in self.words:
-                for i in range(len(w) - 2):
-                    triple = _is_rotation_window(w[i : i + 3])
-                    if triple is None:
-                        continue
-                    key = (i, w[:i], w[i + 3:])
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    x, y, z = triple
-                    row: dict[int, Fraction] = {}
-                    for window, sign in (((x, z, y), 1), ((z, x, y), -1), ((y, x, z), -1), ((y, z, x), 1)):
-                        cls = self.class_of[self.index[w[:i] + window + w[i + 3:]]]
-                        row[cls] = row.get(cls, Fraction(0)) + sign
-                    self._add_row({c: v for c, v in row.items() if v})
+        for left, gen, right in longer:
+            self._add_row(self._classes({left + u + right: c for u, c in gen}))
 
-    def _add_row(self, row: dict[int, Fraction]) -> None:
-        while row:
-            lead = min(row)
-            pivot = self._pivots.get(lead)
-            if pivot is None:
-                inv = 1 / row[lead]
-                self._pivots[lead] = {c: v * inv for c, v in row.items()}
-                return
-            factor = row[lead]
-            for c, v in pivot.items():
-                new = row.get(c, Fraction(0)) - factor * v
-                if new:
-                    row[c] = new
-                else:
-                    row.pop(c, None)
-
-    def contains(self, component: dict[ColoredWord, int]) -> bool:
-        row: dict[int, Fraction] = {}
+    def _classes(self, component: dict[ColoredWord, int]) -> dict[int, int]:
+        row: dict[int, int] = {}
         for w, coeff in component.items():
             cls = self.class_of[self.index[w]]
-            new = row.get(cls, Fraction(0)) + coeff
-            if new:
-                row[cls] = new
-            else:
-                row.pop(cls, None)
+            row[cls] = row.get(cls, 0) + coeff
+        return row
+
+    def _reduce(self, row: dict[int, Fraction]) -> dict[int, Fraction]:
+        """Eliminate every pivot column from ``row``, which is consumed.
+
+        Each pivot row has entries only right of its pivot, so the remainder
+        is canonical: two rows give equal remainders exactly when their
+        difference is a combination of the pivot rows.
+        """
+        out = {}
         while row:
             lead = min(row)
+            value = row.pop(lead)
+            if not value:
+                continue
             pivot = self._pivots.get(lead)
             if pivot is None:
-                return False
-            factor = row[lead]
+                out[lead] = value
+                continue
             for c, v in pivot.items():
-                new = row.get(c, Fraction(0)) - factor * v
-                if new:
-                    row[c] = new
-                else:
-                    row.pop(c, None)
-        return True
+                row[c] = row.get(c, 0) - value * v
+        return out
+
+    def _add_row(self, row: dict[int, Fraction]) -> None:
+        row = self._reduce(row)
+        if row:
+            lead = min(row)
+            inv = 1 / Fraction(row.pop(lead))
+            self._pivots[lead] = {c: v * inv for c, v in row.items()}
+
+    def normal_form(self, component: dict[ColoredWord, int]) -> dict[int, Fraction]:
+        """Canonical form of a combination of this content's words: equal
+        exactly when the combinations are congruent, empty exactly when the
+        combination lies in the ideal."""
+        return self._reduce(self._classes(component))
 
 
 _content_cache: dict[tuple, _ContentSpace] = {}
 
 
-def _content_space(spec: IdealSpec, codes: tuple[int, ...]) -> _ContentSpace:
-    """The content space of ``codes``, built once per ideal and content.
+def content_space(spec: IdealSpec, content: tuple[int, ...]) -> _ContentSpace:
+    """The content space of ``content`` (its sorted letter codes), built once
+    per ideal and content.
 
-    The budget is checked here, before the cache lookup, so a space built
+    The budget is checked on every lookup, cached or not, so a space built
     under a larger budget is refused just as a fresh build would be.
     """
     budget = monomial_budget()
-    size = _content_size(codes)
+    key = (spec.key(), content)
+    space = _content_cache.get(key)
+    size = _content_size(content) if space is None else len(space.words)
     if size > budget:
         raise ResourceLimitError(
             f"content component has {size} monomials, over the budget of {budget}"
             " (raise SUPRSCHUR_BUDGET to proceed)",
             required=size,
         )
-    key = (spec.key(), codes)
-    space = _content_cache.get(key)
     if space is None:
-        space = _content_cache[key] = _ContentSpace(spec, codes)
+        space = _content_cache[key] = _ContentSpace(spec, content)
     return space
 
 
 def ideal_contains(spec: IdealSpec, poly: NCPoly) -> bool:
     """Exact membership of a homogeneous polynomial in the degree component
-    of the ideal, decided content by content.
+    of the ideal: every content's normal form is zero.
 
     Raises ``ResourceLimitError`` when a content component of ``poly`` has
-    more words than ``monomial_budget()``.  The budget is checked on every
-    content lookup, whether or not that content space is already cached.
+    more words than ``monomial_budget()``.
     """
     if not poly:
         return True
     poly.degree()  # raises on non-homogeneous input
-    return all(
-        _content_space(spec, codes).contains(component)
-        for codes, component in poly.content_split().items()
+    return not any(
+        content_space(spec, content).normal_form(component)
+        for content, component in poly.content_split().items()
     )
 
 
@@ -505,32 +510,20 @@ def perp_violation(spec: IdealSpec, gamma: NCPoly):
     """A padded generator with nonzero pairing against gamma, or None.
 
     Only instances whose support meets the support of gamma can pair
-    nonzero, so it is enough to scan windows of the support words.
+    nonzero, so it is enough to walk the padded generators of the support
+    words.  A two-term witness also gives its words as ``pair``, the
+    support word first.
     """
-    moves = binary_window_map(spec)
-    has_rotations = bool(rotation_triples(spec))
+    table = generator_windows(spec)
     terms = gamma.terms
     for w in gamma.support():
-        for i in range(len(w)):
-            for width in (2, 3):
-                if i + width > len(w):
-                    continue
-                window = w[i : i + width]
-                for partner in moves.get(window, ()):
-                    other = w[:i] + partner + w[i + width:]
-                    if terms.get(w, 0) != terms.get(other, 0):
-                        gen = NCPoly({window: 1, partner: -1})
-                        return {"generator": gen, "left": w[:i], "right": w[i + width:], "pair": (w, other)}
-            if has_rotations and i + 3 <= len(w):
-                triple = _is_rotation_window(w[i : i + 3])
-                if triple is None:
-                    continue
-                x, y, z = triple
-                total = 0
-                for window, sign in (((x, z, y), 1), ((z, x, y), -1), ((y, x, z), -1), ((y, z, x), 1)):
-                    total += sign * terms.get(w[:i] + window + w[i + 3:], 0)
-                if total:
-                    return {"generator": _rotation_poly(x, y, z), "left": w[:i], "right": w[i + 3:], "pair": None}
+        for left, gen, right in _padded_generators(table, w):
+            if sum(c * terms.get(left + u + right, 0) for u, c in gen):
+                pair = None
+                if len(gen) == 2:
+                    (other,) = (left + u + right for u, _ in gen if left + u + right != w)
+                    pair = (w, other)
+                return {"generator": NCPoly(dict(gen)), "left": left, "right": right, "pair": pair}
     return None
 
 
@@ -645,21 +638,23 @@ def J_nu(nu: Sequence[int], N: int, order: ShuffleOrder | None = None) -> NCPoly
     nu = check_partition(nu) if nu else ()
     if order is None:
         order = natural_order(N)
-    if not nu:
-        return NCPoly.one()
-    nuprime = conjugate(nu)
-    t = nu[0]
+    return _signed_column_sum(conjugate(nu), lambda j, k: e_k_order(k, order))
+
+
+def _signed_column_sum(depths: Sequence[int], column: Callable[[int, int], NCPoly]) -> NCPoly:
+    """The determinant-style sum over permutations pi of 1..t of
+    sign(pi) * column(1, k_1) * ... * column(t, k_t), where
+    k_j = depths[j - 1] + pi(j) - j.  A zero factor drops its term."""
     total = NCPoly()
-    for pi in permutations(range(1, t + 1)):
-        sign = _permutation_sign(pi)
+    for pi in permutations(range(1, len(depths) + 1)):
         term = NCPoly.one()
         for j, pj in enumerate(pi, start=1):
-            factor = e_k_order(nuprime[j - 1] + pj - j, order)
+            factor = column(j, depths[j - 1] + pj - j)
             if not factor:
-                term = NCPoly()
                 break
             term = term * factor
-        total = total + (term * sign)
+        else:
+            total = total + term * _permutation_sign(pi)
     return total
 
 
@@ -704,24 +699,15 @@ def J_augmented(
         raise InvalidParameterError("alpha and flags must have equal length")
     if len(inserts) != max(l - 1, 0):
         raise InvalidParameterError("need one insert word per gap between columns")
-    if l == 0:
-        return NCPoly.one()
     pools = [letters_at_most(flag, N) for flag in flags]
-    total = NCPoly()
-    for pi in permutations(range(1, l + 1)):
-        sign = _permutation_sign(pi)
-        term = NCPoly.one()
-        for j, pj in enumerate(pi, start=1):
-            factor = e_k_subset(alpha[j - 1] + pj - j, pools[j - 1])
-            if not factor:
-                term = NCPoly()
-                break
-            term = term * factor
-            if j < l and inserts[j - 1]:
-                term = term * NCPoly.from_word(inserts[j - 1])
-        if term:
-            total = total + (term * sign)
-    return total
+
+    def column(j: int, k: int) -> NCPoly:
+        factor = e_k_subset(k, pools[j - 1])
+        if j < l and inserts[j - 1]:
+            factor = factor * NCPoly.from_word(inserts[j - 1])
+        return factor
+
+    return _signed_column_sum(alpha, column)
 
 
 def J_flagged(alpha: Sequence[int], flags: Sequence[FlagValue], N: int) -> NCPoly:

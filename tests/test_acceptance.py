@@ -102,10 +102,10 @@ def test_criterion_04_reading_word_expansion_membership():
 
 def test_criterion_05_conjectured_strengthening_reported_range():
     started = time.time()
-    for N in (1, 2):
-        outcome = verify_conjecture_jnu_kronknuth(N, 5)
+    for N, max_size in ((1, 5), (2, 6), (3, 5)):
+        outcome = verify_conjecture_jnu_kronknuth(N, max_size)
         assert outcome["ok"], outcome
-        assert outcome["verified_range"] == {"N": N, "max_size": 5}
+        assert outcome["verified_range"] == {"N": N, "max_size": max_size}
     report("5 (conjectured strengthening verified at reduced scale)", started, 300)
 
 

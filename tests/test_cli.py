@@ -100,7 +100,9 @@ def test_verify_exit_codes(capsys):
     # the plactic ideal genuinely fails this orthogonality: exit code 1
     code, out = run(capsys, "verify", "perp", "--lambda", "2,2", "--d", "2", "--ideal", "plac-natural")
     payload = json.loads(out)
-    assert code == 1 and payload["ok"] is False and "witness" in payload
+    assert code == 1 and payload["ok"] is False
+    # the support word comes first in the witness pair
+    assert payload["witness"] == ["1' 2 1 2'", "1' 1 2 2'"]
 
 
 def test_resource_limit_has_its_own_exit_code(capsys, monkeypatch):

@@ -14,6 +14,7 @@ from suprschur.alphabet_words import (
     natural_order,
     parse_word,
     unbarred,
+    word_str,
 )
 from suprschur.errors import InvalidParameterError, ResourceLimitError
 from suprschur.free_algebra import (
@@ -24,10 +25,12 @@ from suprschur.free_algebra import (
     NCPoly,
     binary_pairs,
     congruent,
+    content_space,
     e_k,
     e_k_order,
     e_k_subset,
     generator_polys,
+    generator_windows,
     h_k,
     h_k_order,
     ideal_contains,
@@ -228,36 +231,36 @@ def test_perp_examples():
     assert gamma.pairing(NCPoly.from_word(left) - NCPoly.from_word(right)) == 1
 
 
+def _dense_membership(spec, degree):
+    """Membership in the span of every padded generator of the degree, by
+    dense exact elimination over its words: the reference for the content
+    spaces."""
+    pivots = {}
+
+    def reduce(vec):
+        vec = {word: Fraction(c) for word, c in vec.items() if c}
+        while vec:
+            lead = min(vec, key=lambda word: tuple(x.code for x in word))
+            if lead not in pivots:
+                return vec, lead
+            factor = vec[lead]
+            for word, value in pivots[lead].items():
+                new = vec.get(word, Fraction(0)) - factor * value
+                if new:
+                    vec[word] = new
+                else:
+                    vec.pop(word, None)
+        return vec, None
+
+    for gen in ideal_degree_basis(spec, degree):
+        vec, lead = reduce(gen.terms)
+        if lead is not None:
+            inv = 1 / vec[lead]
+            pivots[lead] = {word: value * inv for word, value in vec.items()}
+    return lambda poly: not reduce(poly.terms)[0]
+
+
 def test_membership_agrees_with_dense_elimination():
-    def dense_member(spec, poly):
-        if not poly:
-            return True
-        basis = ideal_degree_basis(spec, poly.degree())
-        pivots = {}
-
-        def reduce(vec):
-            vec = {word: Fraction(c) for word, c in vec.items() if c}
-            while vec:
-                lead = min(vec, key=lambda word: tuple(x.code for x in word))
-                if lead not in pivots:
-                    return vec, lead
-                factor = vec[lead]
-                for word, value in pivots[lead].items():
-                    new = vec.get(word, Fraction(0)) - factor * value
-                    if new:
-                        vec[word] = new
-                    else:
-                        vec.pop(word, None)
-            return vec, None
-
-        for gen in basis:
-            vec, lead = reduce(gen.terms)
-            if lead is not None:
-                inv = 1 / vec[lead]
-                pivots[lead] = {word: value * inv for word, value in vec.items()}
-        vec, _ = reduce(poly.terms)
-        return not vec
-
     rng = random.Random(7)
     specs = [
         kron_ideal(2),
@@ -266,24 +269,46 @@ def test_membership_agrees_with_dense_elimination():
         plac_ideal(natural_order(2)),
         plac_ideal(big_bar_order(2)),
     ]
-    for spec in specs:
-        for degree in (2, 3, 4):
-            words = list(all_words(2, degree))
-            basis = ideal_degree_basis(spec, degree)
-            for _ in range(15):
-                terms = {}
-                for _ in range(rng.randint(1, 4)):
-                    word = rng.choice(words)
-                    terms[word] = terms.get(word, 0) + rng.choice([-2, -1, 1, 2])
-                poly = NCPoly(terms)
-                assert ideal_contains(spec, poly) == dense_member(spec, poly)
-            for _ in range(15):
-                if not basis:
-                    break
-                poly = NCPoly()
-                for _ in range(rng.randint(1, 3)):
-                    poly = poly + rng.choice([-1, 1, 2]) * rng.choice(basis)
-                assert ideal_contains(spec, poly)
+    cases = [(spec, degree) for spec in specs for degree in (2, 3, 4)]
+    cases += [(spec, degree) for spec in (kron_ideal(3), kronknuth_ideal(3)) for degree in (3, 4)]
+    for spec, degree in cases:
+        words = list(all_words(spec.N, degree))
+        basis = ideal_degree_basis(spec, degree)
+        dense_member = _dense_membership(spec, degree)
+        for _ in range(15):
+            terms = {}
+            for _ in range(rng.randint(1, 4)):
+                word = rng.choice(words)
+                terms[word] = terms.get(word, 0) + rng.choice([-2, -1, 1, 2])
+            poly = NCPoly(terms)
+            assert ideal_contains(spec, poly) == dense_member(poly)
+        for _ in range(15):
+            if not basis:
+                break
+            poly = NCPoly()
+            for _ in range(rng.randint(1, 3)):
+                poly = poly + rng.choice([-1, 1, 2]) * rng.choice(basis)
+            assert ideal_contains(spec, poly)
+        # normal forms are canonical: equal exactly when the difference is a
+        # member.  g is u or a rearrangement of it, plus padded generators of
+        # that content, so it may land in u's coset or off it.
+        by_content = {}
+        for gen in basis:
+            by_content.setdefault(tuple(sorted(gen.support()[0])), []).append(gen)
+        equal = 0
+        for _ in range(40):
+            u = rng.choice(words)
+            content = tuple(sorted(u))
+            coeff = rng.choice([1, 2])
+            g = NCPoly.from_word(rng.choice([u, tuple(rng.sample(u, len(u)))]), coeff)
+            gens = by_content.get(content, [])
+            for gen in rng.sample(gens, min(2, len(gens))):
+                g = g + rng.choice([-1, 1]) * gen
+            space = content_space(spec, content)
+            same = space.normal_form({u: coeff}) == space.normal_form(g.terms)
+            assert same == dense_member(NCPoly.from_word(u, coeff) - g)
+            equal += same
+        assert 0 < equal < 40
 
 
 def test_column_swap_and_vanishing_memberships():
@@ -298,6 +323,42 @@ def test_column_swap_and_vanishing_memberships():
     for flags in [(barred(1), barred(1)), (unbarred(2), unbarred(2)), (barred(2), barred(2))]:
         f = J_flagged((1, 2), flags, 2)
         assert not f or ideal_contains(kron, f)
+
+
+def test_generator_table_is_read_only(monkeypatch):
+    kron = kron_ideal(2)
+    table = generator_windows(kron)
+    assert ((w("2 2 1"), 1), (w("2 1 2"), -1)) in table[w("2 2 1")]
+    with pytest.raises(TypeError):
+        table[w("2 2 1")] = ()
+    with pytest.raises(AttributeError):
+        table.clear()
+    # a cold content space reads the shared table; a padded generator is a member
+    monkeypatch.setattr(free_algebra, "_content_cache", {})
+    assert ideal_contains(kron, P("2 2 1 1") - P("2 1 2 1"))
+
+
+def test_reading_word_congruence_reports_a_failure(monkeypatch):
+    from suprschur import verify
+
+    arrow_respecting_words = verify.arrow_respecting_words
+    added = []  # (a reading word, its reversal appended after it)
+
+    def with_a_stranger(tab):
+        words = arrow_respecting_words(tab)
+        if len(set(words[0])) > 1:
+            added.append((words[0], tuple(reversed(words[0]))))
+            return words + [added[-1][1]]
+        return words
+
+    monkeypatch.setattr(verify, "arrow_respecting_words", with_a_stranger)
+    report = verify.verify_reading_word_congruence(3, 2)
+    assert report["ok"] is False
+    word, stranger = added[-1]
+    assert report["word"] == word_str(stranger)
+    dense_member = _dense_membership(kron_ideal(2), len(word))
+    assert not dense_member(NCPoly.from_word(word) - NCPoly.from_word(stranger))
+    assert all(dense_member(NCPoly.from_word(a) - NCPoly.from_word(b)) for a, b in added[:-1])
 
 
 def test_small_reading_word_expansions():

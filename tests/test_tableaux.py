@@ -60,6 +60,7 @@ from suprschur.tableaux import (
     tableaux_with_sqread_in,
     validate_tableau,
 )
+from suprschur.verify import conversion_bijection_holds
 
 w = parse_word
 
@@ -244,6 +245,7 @@ def test_tableaux_with_sqread_in_matches_reference():
 def test_tableaux_with_sqread_in_edge_cases():
     nat = natural_order(2)
     assert tableaux_with_sqread_in([], nat) == {}
+    assert conversion_bijection_holds([])  # vacuously, like the empty lookup
     with pytest.raises(InvalidParameterError):
         tableaux_with_sqread_in([w("1 2"), w("1")], nat)
     # 2 1 1 reads the tableau 1 1 / 2 and 1 1 2 the row 1 1 2;
