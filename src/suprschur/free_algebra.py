@@ -644,21 +644,36 @@ def J_nu(nu: Sequence[int], N: int, order: ShuffleOrder | None = None) -> NCPoly
 def _signed_column_sum(depths: Sequence[int], column: Callable[[int, int], NCPoly]) -> NCPoly:
     """The determinant-style sum over permutations pi of 1..t of
     sign(pi) * column(1, k_1) * ... * column(t, k_t), where
-    k_j = depths[j - 1] + pi(j) - j.  A zero factor drops its term."""
-    total = NCPoly()
-    for pi in permutations(range(1, len(depths) + 1)):
-        term = NCPoly.one()
-        for j, pj in enumerate(pi, start=1):
-            factor = column(j, depths[j - 1] + pj - j)
-            if not factor:
-                break
+    k_j = depths[j - 1] + pi(j) - j.
+
+    The t x t table of column factors is built once, and only the
+    permutations whose factors are all nonzero are multiplied out.  The
+    shifts pi(j) - j sum to zero, so every permutation has
+    k_1 + ... + k_t = sum(depths).  One that picks a negative k, whose
+    factor is zero, also picks a k above its column's depth, and a
+    factor-by-factor product would build a prefix of degree above
+    sum(depths) before reaching the zero.  Checked on the table, the zero is
+    found before any product, and every product built has the degree of the
+    result.
+    """
+    t = len(depths)
+    table = [[column(j, depths[j - 1] + p - j) for p in range(1, t + 1)] for j in range(1, t + 1)]
+    total: dict[ColoredWord, int] = {}
+    for pi in permutations(range(t)):
+        factors = [row[p] for row, p in zip(table, pi)]
+        if not all(factors):
+            continue
+        term = factors[0] if factors else NCPoly.one()
+        for factor in factors[1:]:
             term = term * factor
-        else:
-            total = total + term * _permutation_sign(pi)
-    return total
+        sign = _permutation_sign(pi)
+        for w, c in term.terms.items():
+            total[w] = total.get(w, 0) + sign * c
+    return NCPoly._wrap({w: c for w, c in total.items() if c})
 
 
 def _permutation_sign(pi: Sequence[int]) -> int:
+    """Sign of a permutation of 0..t-1, by its cycles."""
     sign = 1
     seen = [False] * len(pi)
     for start in range(len(pi)):
@@ -668,7 +683,7 @@ def _permutation_sign(pi: Sequence[int]) -> int:
         j = start
         while not seen[j]:
             seen[j] = True
-            j = pi[j] - 1
+            j = pi[j]
             length += 1
         if length % 2 == 0:
             sign = -sign

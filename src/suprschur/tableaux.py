@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .alphabet_words import (
     ColoredWord,
@@ -188,6 +188,15 @@ class ColoredTableau:
         object.__setattr__(self, "boxes", frozenset(entries))
 
     @classmethod
+    def _wrap(cls, entries: dict[Box, Letter], order: ShuffleOrder) -> "ColoredTableau":
+        """Adopt a dict of entries without copying or checking it."""
+        tab = cls.__new__(cls)
+        object.__setattr__(tab, "entries", entries)
+        object.__setattr__(tab, "order", order)
+        object.__setattr__(tab, "boxes", frozenset(entries))
+        return tab
+
+    @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Letter]], order: ShuffleOrder) -> "ColoredTableau":
         entries = {(r + 1, c + 1): x for r, row in enumerate(rows) for c, x in enumerate(row)}
         return cls(entries, order)
@@ -299,7 +308,8 @@ def insert(word: ColoredWord, order: ShuffleOrder) -> ColoredTableau:
                 break
         else:
             rows.append([x])
-    return ColoredTableau.from_rows(rows, order)
+    entries = {(r, c): x for r, row in enumerate(rows, 1) for c, x in enumerate(row, 1)}
+    return ColoredTableau._wrap(entries, order)
 
 
 def tableaux_with_sqread_in(words: Iterable[ColoredWord], order: ShuffleOrder) -> dict[tuple[int, ...], set[ColoredTableau]]:
@@ -449,31 +459,37 @@ def is_arrow_respecting(tab: ColoredTableau, word: ColoredWord) -> bool:
     return place(0)
 
 
-def arrow_respecting_extensions(tab: ColoredTableau) -> Iterator[tuple[Box, ...]]:
-    """All box orders compatible with the box poset and the arrows."""
+def _reading_orders(tab: ColoredTableau, label: Callable[[Box], object]) -> Iterator[tuple]:
+    """Every box order compatible with the box poset and the arrows, each as
+    the tuple of its boxes' labels, in lexicographic order of the boxes.
+
+    One depth-first search with an explicit stack: the boxes read so far are
+    a bitmask, and a box may be read once its predecessor mask is inside it.
+    """
     preds = _reading_predecessors(tab)
     boxes = sorted(tab.boxes)
-    read: list[Box] = []
-    read_set: set[Box] = set()
+    bit = {box: 1 << i for i, box in enumerate(boxes)}
+    # reversed, so that the stack pops the smallest box first
+    steps = [(bit[box], sum(bit[p] for p in preds[box]), label(box)) for box in reversed(boxes)]
+    full = (1 << len(boxes)) - 1
+    stack: list[tuple[int, tuple]] = [(0, ())]
+    while stack:
+        read, seq = stack.pop()
+        if read == full:
+            yield seq
+            continue
+        for b, need, x in steps:
+            if not read & b and need & read == need:
+                stack.append((read | b, seq + (x,)))
 
-    def extend() -> Iterator[tuple[Box, ...]]:
-        if len(read) == len(boxes):
-            yield tuple(read)
-            return
-        for box in boxes:
-            if box not in read_set and preds[box] <= read_set:
-                read.append(box)
-                read_set.add(box)
-                yield from extend()
-                read.pop()
-                read_set.remove(box)
 
-    yield from extend()
+def arrow_respecting_extensions(tab: ColoredTableau) -> Iterator[tuple[Box, ...]]:
+    """All box orders compatible with the box poset and the arrows."""
+    return _reading_orders(tab, lambda box: box)
 
 
 def arrow_respecting_words(tab: ColoredTableau) -> list[ColoredWord]:
-    words = {tuple(tab[box] for box in seq) for seq in arrow_respecting_extensions(tab)}
-    return sorted(words)
+    return sorted(set(_reading_orders(tab, tab.entries.__getitem__)))
 
 
 def some_arrow_respecting_word(tab: ColoredTableau) -> ColoredWord:

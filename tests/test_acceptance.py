@@ -96,13 +96,14 @@ def test_criterion_03_hook_rule_matches_oracle():
 def test_criterion_04_reading_word_expansion_membership():
     started = time.time()
     assert verify_jnu(kron_ideal(2), 2, 6)["ok"]
-    assert verify_jnu(kron_ideal(3), 3, 5)["ok"]
+    assert verify_jnu(kron_ideal(3), 3, 6)["ok"]
+    assert verify_jnu(kron_ideal(4), 4, 5)["ok"]
     report("4 (reading-word expansion in the Kronecker ideal)", started, 300)
 
 
 def test_criterion_05_conjectured_strengthening_reported_range():
     started = time.time()
-    for N, max_size in ((1, 5), (2, 6), (3, 5)):
+    for N, max_size in ((1, 5), (2, 7), (3, 6)):
         outcome = verify_conjecture_jnu_kronknuth(N, max_size)
         assert outcome["ok"], outcome
         assert outcome["verified_range"] == {"N": N, "max_size": max_size}

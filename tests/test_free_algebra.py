@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 
@@ -46,6 +47,7 @@ from suprschur.free_algebra import (
     rotation_triples,
 )
 from suprschur.alphabet_words import enumerate_cyw
+from suprschur.tableaux import partitions_of
 
 from golden_data import JNU21_N2_TEXT
 
@@ -56,9 +58,77 @@ def P(text: str) -> NCPoly:
     return NCPoly.from_word(w(text))
 
 
+def _partitions_up_to(size):
+    return [nu for n in range(size + 1) for nu in partitions_of(n)]
+
+
 def test_jnu_text_is_unchanged():
     assert J_nu((2, 1), 2).to_text() == JNU21_N2_TEXT
     assert NCPoly.from_text(JNU21_N2_TEXT) == J_nu((2, 1), 2)
+
+
+def _signed_column_sum_reference(depths, column):
+    """The loop the library used before its factor table: every permutation
+    multiplied factor by factor, stopping at the first zero factor."""
+    total = NCPoly()
+    for pi in permutations(range(1, len(depths) + 1)):
+        term = NCPoly.one()
+        for j, pj in enumerate(pi, start=1):
+            factor = column(j, depths[j - 1] + pj - j)
+            if not factor:
+                break
+            term = term * factor
+        else:
+            inversions = sum(1 for a, b in combinations(pi, 2) if a > b)
+            total = total + term * (-1) ** inversions
+    return total
+
+
+def _by_reference(monkeypatch, function, *args):
+    with monkeypatch.context() as patch:
+        patch.setattr(free_algebra, "_signed_column_sum", _signed_column_sum_reference)
+        return function(*args)
+
+
+def test_jnu_matches_reference(monkeypatch):
+    cases = [(nu, 2, order) for order in (natural_order(2), big_bar_order(2)) for nu in _partitions_up_to(5)]
+    cases += [(nu, 3, natural_order(3)) for nu in _partitions_up_to(5)]
+    assert len(cases) == 3 * 19
+    for nu, N, order in cases:
+        assert J_nu(nu, N, order) == _by_reference(monkeypatch, J_nu, nu, N, order)
+
+
+def test_J_augmented_matches_reference_on_flagged_cases(monkeypatch):
+    from suprschur import verify
+
+    cases = set()
+
+    def recording(alpha, flags, inserts, N):
+        cases.add((tuple(alpha), tuple(flags), tuple(inserts), N))
+        return J_augmented(alpha, flags, inserts, N)
+
+    monkeypatch.setattr(verify, "J_augmented", recording)
+    assert verify.verify_flagged(N=2, max_alpha_weight=3, box=3)["ok"]
+    monkeypatch.undo()
+    assert len(cases) > 100
+    for case in cases:
+        assert J_augmented(*case) == _by_reference(monkeypatch, J_augmented, *case)
+
+
+def test_jnu_builds_no_product_past_its_degree(monkeypatch):
+    # every permutation has column depths summing to |nu|, so no product
+    # needs a degree above it
+    mul = NCPoly.__mul__
+    degrees = []
+
+    def recording(self, other):
+        out = mul(self, other)
+        degrees.extend(out.degrees())
+        return out
+
+    monkeypatch.setattr(NCPoly, "__mul__", recording)
+    assert J_nu((5,), 3).degree() == 5
+    assert degrees and max(degrees) == 5
 
 
 def test_ncpoly_arithmetic_and_text():

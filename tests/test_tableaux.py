@@ -35,6 +35,8 @@ from suprschur.tableaux import (
     Arrow,
     ColoredTableau,
     RestrictedShape,
+    _reading_predecessors,
+    arrow_respecting_extensions,
     arrow_respecting_words,
     arrows,
     column_reading,
@@ -312,6 +314,43 @@ def test_some_arrow_respecting_word():
             word = some_arrow_respecting_word(tab)
             assert is_arrow_respecting(tab, word)
             assert word in arrow_respecting_words(tab)
+
+
+def _arrow_respecting_extensions_reference(tab):
+    """The recursive search the library used before its bitmask one."""
+    preds = _reading_predecessors(tab)
+    boxes = sorted(tab.boxes)
+    read = []
+    read_set = set()
+
+    def extend():
+        if len(read) == len(boxes):
+            yield tuple(read)
+            return
+        for box in boxes:
+            if box not in read_set and preds[box] <= read_set:
+                read.append(box)
+                read_set.add(box)
+                yield from extend()
+                read.pop()
+                read_set.remove(box)
+
+    yield from extend()
+
+
+def test_arrow_respecting_orders_match_reference():
+    order = natural_order(3)
+    count = 0
+    for shape in restricted_shapes_in_box(5, 5, max_boxes=5):
+        for tab in enumerate_fillings(shape, order, barred(3)):
+            count += 1
+            expected = list(_arrow_respecting_extensions_reference(tab))
+            assert list(arrow_respecting_extensions(tab)) == expected
+            assert arrow_respecting_words(tab) == sorted({tuple(tab[b] for b in seq) for seq in expected})
+    assert count == 11438
+    empty = ColoredTableau({}, order)
+    assert list(arrow_respecting_extensions(empty)) == [()]
+    assert arrow_respecting_words(empty) == [()]
 
 
 def test_convert_examples():
