@@ -12,9 +12,10 @@ shared freely between threads.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from itertools import product
-from math import comb
+from math import comb, factorial
 from typing import Iterable, Sequence
 
 from .errors import InvalidParameterError, MalformedInputError
@@ -159,17 +160,6 @@ class ShuffleOrder:
 
     def lt(self, x: Letter, y: Letter) -> bool:
         return self._rank[x] < self._rank[y]
-
-    def le(self, x: Letter, y: Letter) -> bool:
-        return self._rank[x] <= self._rank[y]
-
-    def gecol(self, y: Letter, x: Letter) -> bool:
-        """y is greater than x, or y and x are equal barred letters."""
-        return self._rank[y] > self._rank[x] or (y == x and x.barred)
-
-    def ledotrow(self, y: Letter, z: Letter) -> bool:
-        """y is less than z, or y and z are equal unbarred letters."""
-        return self._rank[y] < self._rank[z] or (y == z and not y.barred)
 
     def lecol(self, x: Letter, y: Letter) -> bool:
         """Column condition: x may sit directly above y."""
@@ -385,6 +375,15 @@ def is_shuffle_closed(words: Iterable[ColoredWord]) -> bool:
     return True
 
 
+def arrangement_count(items: Sequence) -> int:
+    """Number of distinct rearrangements of a sequence: len! over the
+    product of the factorials of the multiplicities."""
+    size = factorial(len(items))
+    for m in Counter(items).values():
+        size //= factorial(m)
+    return size
+
+
 def all_words(N: int, length: int) -> Iterable[ColoredWord]:
     """Every colored word of the given length over the alphabet of size 2N."""
     alphabet = [letter_from_code(c) for c in range(2 * N)]
@@ -399,8 +398,6 @@ def cyw_count_formula(lam: tuple[int, ...], d: int) -> int:
 @lru_cache(maxsize=None)
 def syt_count(lam: tuple[int, ...]) -> int:
     """Number of standard Young tableaux, by the hook length formula."""
-    from math import factorial
-
     n = sum(lam)
     conj = [sum(1 for part in lam if part > j) for j in range(lam[0])] if lam else []
     denom = 1

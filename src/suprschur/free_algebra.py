@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
-from math import factorial
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -32,6 +31,7 @@ from .alphabet_words import (
     ColoredWord,
     Letter,
     ShuffleOrder,
+    arrangement_count,
     letter_from_code,
     natural_order,
     parse_word,
@@ -368,16 +368,6 @@ def multiset_words(letters: Sequence[Letter]) -> Iterator[ColoredWord]:
     yield from rec(len(pool))
 
 
-def _content_size(codes: Sequence[int]) -> int:
-    size = factorial(len(codes))
-    mult: dict[int, int] = {}
-    for c in codes:
-        mult[c] = mult.get(c, 0) + 1
-    for m in mult.values():
-        size //= factorial(m)
-    return size
-
-
 class _ContentSpace:
     """Exact model of one content component of U modulo an ideal."""
 
@@ -474,7 +464,7 @@ def content_space(spec: IdealSpec, content: tuple[int, ...]) -> _ContentSpace:
     budget = monomial_budget()
     key = (spec.key(), content)
     space = _content_cache.get(key)
-    size = _content_size(content) if space is None else len(space.words)
+    size = arrangement_count(content) if space is None else len(space.words)
     if size > budget:
         raise ResourceLimitError(
             f"content component has {size} monomials, over the budget of {budget}"
@@ -590,7 +580,7 @@ def e_k_order(k: int, order: ShuffleOrder) -> NCPoly:
     key = ("e", k, order.key())
     if key not in _e_cache:
         desc = list(reversed(order.letters))
-        step = lambda prev, z: order.gecol(prev, z)  # noqa: E731
+        step = lambda prev, z: order.lecol(z, prev)  # noqa: E731
         _e_cache[key] = NCPoly({w: 1 for w in _chains(desc, k, step)})
     return _e_cache[key]
 
@@ -622,8 +612,7 @@ def h_k_order(k: int, order: ShuffleOrder) -> NCPoly:
     key = ("h", k, order.key())
     if key not in _e_cache:
         asc = list(order.letters)
-        step = lambda prev, z: order.ledotrow(prev, z)  # noqa: E731
-        _e_cache[key] = NCPoly({w: 1 for w in _chains(asc, k, step)})
+        _e_cache[key] = NCPoly({w: 1 for w in _chains(asc, k, order.lerow)})
     return _e_cache[key]
 
 

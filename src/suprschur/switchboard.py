@@ -2,27 +2,31 @@
 per-component Schur expansions, and DOT export.
 
 Edges are switches in some interior position i: two words that differ only
-in the window (i-1, i, i+1) by one of six local patterns.  A board is valid
-when every vertex with exactly one natural-order descent among positions
-i-1, i lies on exactly one i-edge.
+in the window (i-1, i, i+1).  The switches are read off the ideal
+generators in ``free_algebra``: a Knuth switch is a two-term generator of
+the natural-order plactic ideal, and a rotation switch joins two words of
+one rotation generator of the Kronecker ideal.  A board is valid when every
+vertex with exactly one natural-order descent among positions i-1, i lies
+on exactly one i-edge.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 from .alphabet_words import (
     ColoredWord,
-    Letter,
     ShuffleOrder,
     descent_set,
     natural_order,
     word_str,
 )
 from .errors import ConstructionFailureError, VerificationFailureError
-from .free_algebra import NCPoly, kron_ideal, perp_contains
+from .free_algebra import NCPoly, binary_pairs, kron_ideal, perp_contains, plac_ideal, rotation_triples
 from .symfun import F_of_set, SymFunc, schur_expand, schur_expand_by_tableaux
 
 KNUTH = "knuth"
@@ -44,52 +48,25 @@ class Switch:
         return self.words[1] if word == self.words[0] else self.words[0]
 
 
-def _window_partners(window: tuple[Letter, Letter, Letter]) -> list[tuple[tuple[Letter, Letter, Letter], str]]:
-    """All local switch moves available on a three-letter window."""
-    p, q, r = window
-    out = []
-    if len({p, q, r}) == 3:
-        x, y, z = sorted(window)
-        knuth_moves = {
-            (x, z, y): (z, x, y),
-            (z, x, y): (x, z, y),
-            (y, x, z): (y, z, x),
-            (y, z, x): (y, x, z),
-        }
-        partner = knuth_moves.get(window)
-        if partner is not None:
-            out.append((partner, KNUTH))
-        if (y, z) == (x + 1, x + 2):
-            rotation_moves = {
-                (y, x, z): (x, z, y),
-                (x, z, y): (y, x, z),
-                (y, z, x): (z, x, y),
-                (z, x, y): (y, z, x),
-            }
-            partner = rotation_moves.get(window)
-            if partner is not None:
-                out.append((partner, ROTATION))
-    else:
-        moves = []
-        if p == q and p != r:
-            # (y,y,x) -> (y,x,y) for unbarred y above x; (y,y,z) -> (y,z,y) for barred y below z
-            if (not p.barred and r < p) or (p.barred and r > p):
-                moves.append((p, r, p))
-        if q == r and p != q:
-            # (z,y,y) -> (y,z,y) for unbarred y below z; (x,y,y) -> (y,x,y) for barred y above x
-            if (not q.barred and p > q) or (q.barred and p < q):
-                moves.append((q, p, q))
-        if p == r and p != q:
-            if not p.barred and q < p:
-                moves.append((p, p, q))  # (y,x,y) -> (y,y,x)
-            elif not p.barred and q > p:
-                moves.append((q, p, p))  # (y,z,y) -> (z,y,y)
-            elif p.barred and q > p:
-                moves.append((p, p, q))  # (y,z,y) -> (y,y,z)
-            elif p.barred and q < p:
-                moves.append((q, p, p))  # (y,x,y) -> (x,y,y)
-        out.extend((m, KNUTH) for m in moves)
-    return out
+@lru_cache(maxsize=None)
+def _switch_table(N: int) -> Mapping[ColoredWord, tuple[tuple[ColoredWord, str], ...]]:
+    """Each three-letter window over letters up to N, mapped to its switch
+    partners with their kinds.
+
+    Knuth switches are the two-term generators of the natural-order plactic
+    ideal, read in both directions.  Each rotation generator
+    ``xzy - zxy - yxz + yzx`` of the Kronecker ideal links ``yxz`` with
+    ``xzy`` and ``yzx`` with ``zxy``.  The table is cached and shared, so it
+    is read-only.
+    """
+    links = [(u, v, KNUTH) for u, v in binary_pairs(plac_ideal(natural_order(N)))]
+    for x, y, z in rotation_triples(kron_ideal(N)):
+        links += [((y, x, z), (x, z, y), ROTATION), ((y, z, x), (z, x, y), ROTATION)]
+    table: dict[ColoredWord, list[tuple[ColoredWord, str]]] = {}
+    for u, v, kind in links:
+        table.setdefault(u, []).append((v, kind))
+        table.setdefault(v, []).append((u, kind))
+    return MappingProxyType({window: tuple(partners) for window, partners in table.items()})
 
 
 def find_switch_partners(word: ColoredWord, i: int) -> list[tuple[ColoredWord, str]]:
@@ -97,15 +74,10 @@ def find_switch_partners(word: ColoredWord, i: int) -> list[tuple[ColoredWord, s
     2 <= i <= len-1), with the switch kind."""
     if not 2 <= i <= len(word) - 1:
         raise ConstructionFailureError(f"switch position {i} out of range", word=word, position=i)
-    window = (word[i - 2], word[i - 1], word[i])
-    seen = set()
-    out = []
-    for partner_window, kind in _window_partners(window):
-        partner = word[: i - 2] + partner_window + word[i + 1:]
-        if (partner, kind) not in seen:
-            seen.add((partner, kind))
-            out.append((partner, kind))
-    return out
+    window = word[i - 2 : i + 1]
+    # the relations among letters up to M are the same in every table with N >= M
+    table = _switch_table(max(x.value for x in window))
+    return [(word[: i - 2] + partner + word[i + 1 :], kind) for partner, kind in table.get(window, ())]
 
 
 class Switchboard:

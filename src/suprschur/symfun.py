@@ -8,9 +8,7 @@ independent of the tableau-counting route it is used to check.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache
-from math import factorial
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -18,6 +16,7 @@ from .alphabet_words import (
     ColoredWord,
     Letter,
     ShuffleOrder,
+    arrangement_count,
     covering_swap_path,
     descent_set,
 )
@@ -142,16 +141,7 @@ def is_symmetric(vec: QSymMonomialVector) -> bool:
             return False
         else:
             group[1] += 1
-    return all(members == _orbit_size(key) for key, (_, members) in groups.items())
-
-
-def _orbit_size(exps: Exponents) -> int:
-    """Number of distinct rearrangements: nvars! over the product of the
-    factorials of the multiplicities, zeros included."""
-    size = factorial(len(exps))
-    for m in Counter(exps).values():
-        size //= factorial(m)
-    return size
+    return all(members == arrangement_count(key) for key, (_, members) in groups.items())
 
 
 @lru_cache(maxsize=None)

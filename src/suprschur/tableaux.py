@@ -459,6 +459,19 @@ def is_arrow_respecting(tab: ColoredTableau, word: ColoredWord) -> bool:
     return place(0)
 
 
+@lru_cache(maxsize=None)
+def _southwest_masks(boxes: frozenset[Box]) -> tuple[tuple[Box, ...], tuple[int, ...]]:
+    """The boxes in lexicographic order, and for each the bitmask (bit i for
+    the i-th box) of the other boxes weakly southwest of it, which are read
+    before it.  The mask depends only on the box set, not on the filling."""
+    ordered = tuple(sorted(boxes))
+    masks = tuple(
+        sum(1 << i for i, (r1, c1) in enumerate(ordered) if (r1, c1) != (r2, c2) and r1 >= r2 and c1 <= c2)
+        for r2, c2 in ordered
+    )
+    return ordered, masks
+
+
 def _reading_orders(tab: ColoredTableau, label: Callable[[Box], object]) -> Iterator[tuple]:
     """Every box order compatible with the box poset and the arrows, each as
     the tuple of its boxes' labels, in lexicographic order of the boxes.
@@ -466,11 +479,12 @@ def _reading_orders(tab: ColoredTableau, label: Callable[[Box], object]) -> Iter
     One depth-first search with an explicit stack: the boxes read so far are
     a bitmask, and a box may be read once its predecessor mask is inside it.
     """
-    preds = _reading_predecessors(tab)
-    boxes = sorted(tab.boxes)
-    bit = {box: 1 << i for i, box in enumerate(boxes)}
+    boxes, southwest = _southwest_masks(tab.boxes)
+    preds = list(southwest)
+    for arrow in arrows(tab):
+        preds[boxes.index(arrow.head)] |= 1 << boxes.index(arrow.tail)
     # reversed, so that the stack pops the smallest box first
-    steps = [(bit[box], sum(bit[p] for p in preds[box]), label(box)) for box in reversed(boxes)]
+    steps = [(1 << i, preds[i], label(boxes[i])) for i in reversed(range(len(boxes)))]
     full = (1 << len(boxes)) - 1
     stack: list[tuple[int, tuple]] = [(0, ())]
     while stack:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .alphabet_words import (
     ColoredWord,
@@ -62,44 +62,42 @@ def _partition_range(max_size: int) -> list[tuple[int, ...]]:
     return [nu for n in range(1, max_size + 1) for nu in partitions_of(n)]
 
 
-def verify_jnu(ideal: IdealSpec, N: int, max_size: int, nu_list: Sequence[tuple[int, ...]] | None = None) -> dict:
-    """Membership of J_nu minus the sum of diagonal reading words over
-    colored tableaux, in the given ideal, natural order throughout."""
-    order = natural_order(N)
-    top = barred(N)
-    results = []
-    for nu in (nu_list if nu_list is not None else _partition_range(max_size)):
-        nu = check_partition(nu)
-        total = NCPoly(Counter(sqread(tab) for tab in enumerate_tableaux(nu, order, top)))
-        member = ideal_contains(ideal, J_nu(nu, N) - total)
-        results.append({"nu": list(nu), "member": member})
-    return {
-        "target": "jnu",
-        "ideal": ideal.name(),
-        "N": N,
-        "results": results,
-        "ok": all(r["member"] for r in results),
-    }
-
-
-def verify_jplac(order: ShuffleOrder, max_size: int, nu_list: Sequence[tuple[int, ...]] | None = None) -> dict:
-    """Membership of J_nu for the order minus the sum of column reading
-    words, in the colored plactic ideal of that order."""
-    ideal = plac_ideal(order)
+def _verify_reading_expansion(
+    target: str,
+    ideal: IdealSpec,
+    order: ShuffleOrder,
+    read: Callable[[ColoredTableau], ColoredWord],
+    max_size: int,
+    nu_list: Sequence[tuple[int, ...]] | None,
+) -> dict:
+    """Membership of J_nu for the order minus the sum of the reading words
+    ``read(T)`` over the colored tableaux T of shape nu, in the ideal."""
     top = order.max_letter()
     results = []
     for nu in (nu_list if nu_list is not None else _partition_range(max_size)):
         nu = check_partition(nu)
-        total = NCPoly(Counter(column_reading(tab) for tab in enumerate_tableaux(nu, order, top)))
+        total = NCPoly(Counter(read(tab) for tab in enumerate_tableaux(nu, order, top)))
         member = ideal_contains(ideal, J_nu(nu, order.N, order) - total)
         results.append({"nu": list(nu), "member": member})
     return {
-        "target": "jplac",
+        "target": target,
         "ideal": ideal.name(),
         "N": order.N,
         "results": results,
         "ok": all(r["member"] for r in results),
     }
+
+
+def verify_jnu(ideal: IdealSpec, N: int, max_size: int, nu_list: Sequence[tuple[int, ...]] | None = None) -> dict:
+    """Membership of J_nu minus the sum of diagonal reading words over
+    colored tableaux, in the given ideal, natural order throughout."""
+    return _verify_reading_expansion("jnu", ideal, natural_order(N), sqread, max_size, nu_list)
+
+
+def verify_jplac(order: ShuffleOrder, max_size: int, nu_list: Sequence[tuple[int, ...]] | None = None) -> dict:
+    """Membership of J_nu for the order minus the sum of column reading
+    words, in the colored plactic ideal of that order."""
+    return _verify_reading_expansion("jplac", plac_ideal(order), order, column_reading, max_size, nu_list)
 
 
 def verify_conjecture_jnu_kronknuth(N: int, max_size: int) -> dict:

@@ -14,6 +14,7 @@ import pytest
 from golden_data import CYW32_COLUMNS, CYW32_SCHUR, CYW32_TABLEAUX, CYW33_COMPONENTS
 from suprschur.alphabet_words import (
     ShuffleOrder,
+    all_words,
     big_bar_order,
     enumerate_cyw,
     letter_from_code,
@@ -29,7 +30,7 @@ from suprschur.free_algebra import (
 from suprschur.kronecker import g_hook_oracle, g_hook_rule, g_sum_oracle, g_sum_rule, hook
 from suprschur.lascoux import compose_classes, gamma_class, knuth_class_analysis, shape_counts
 from suprschur.switchboard import build_cyw_switchboard, component_schur, components
-from suprschur.symfun import F_of_set, schur_expand, schur_expand_by_tableaux
+from suprschur.symfun import F_of_set, schur_expand, schur_expand_by_tableaux, word_convert_step
 from suprschur.tableaux import ColoredTableau, insert, partitions_of, sqread
 from suprschur.verify import (
     verify_commutation,
@@ -157,9 +158,11 @@ def _np_all_words(nletters: int, length: int) -> np.ndarray:
     return out
 
 
-def _np_descents(words: np.ndarray, ranks: np.ndarray, barred: np.ndarray) -> np.ndarray:
-    left, right = words[:, :-1], words[:, 1:]
-    return (ranks[left] > ranks[right]) | ((left == right) & barred[left])
+def _np_descent_table(order: ShuffleOrder) -> np.ndarray:
+    """Whether x, y is a descent of the order, at index x * 2N + y."""
+    size = 2 * order.N
+    letters = [letter_from_code(c) for c in range(size)]
+    return np.array([order.rank(x) > order.rank(y) or (x == y and x.barred) for x in letters for y in letters])
 
 
 def _np_convert(words: np.ndarray, bcode: int, acode: int, forward: bool) -> np.ndarray:
@@ -191,36 +194,55 @@ def _np_convert(words: np.ndarray, bcode: int, acode: int, forward: bool) -> np.
     return out
 
 
+def _covering_swaps(N: int):
+    """Every covering swap of every shuffle order, grouped by the conversion
+    it applies: (b, abar, forward) -> [(order, swapped order)]."""
+    groups: dict[tuple, list] = {}
+    for order in _all_shuffle_orders(N):
+        seq = list(order.letters)
+        for i in range(2 * N - 1):
+            if seq[i].barred != seq[i + 1].barred:
+                swapped = list(seq)
+                swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
+                b, abar = (seq[i], seq[i + 1]) if not seq[i].barred else (seq[i + 1], seq[i])
+                key = (b.code, abar.code, order.lt(b, abar))
+                groups.setdefault(key, []).append((order, ShuffleOrder(tuple(swapped))))
+    return groups
+
+
 def test_criterion_08a_descent_preservation_exhaustive():
     started = time.time()
-    for N in (1, 2, 3):
-        barred = np.array([c % 2 == 1 for c in range(2 * N)])
-        orders = list(_all_shuffle_orders(N))
-        swaps = []
-        for order in orders:
-            seq = list(order.letters)
-            for i in range(2 * N - 1):
-                if seq[i].barred != seq[i + 1].barred:
-                    swapped = list(seq)
-                    swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
-                    target = ShuffleOrder(tuple(swapped))
-                    b, abar = (seq[i], seq[i + 1]) if not seq[i].barred else (seq[i + 1], seq[i])
-                    swaps.append((order, target, b, abar))
-        max_len = 8 if N == 3 else 8
-        for length in range(1, max_len + 1):
+    for N, swaps, conversions in ((1, 2, 2), (2, 12, 8), (3, 60, 18)):
+        groups = _covering_swaps(N)
+        assert sum(map(len, groups.values())) == swaps and len(groups) == conversions
+        tables = {order: _np_descent_table(order) for pairs in groups.values() for pair in pairs for order in pair}
+        for length in range(1, 9):
             words = _np_all_words(2 * N, length)
-            for order, target, b, abar in swaps:
-                ranks_from = np.empty(2 * N, dtype=np.int8)
-                ranks_to = np.empty(2 * N, dtype=np.int8)
-                for code in range(2 * N):
-                    ranks_from[code] = order.rank(letter_from_code(code))
-                    ranks_to[code] = target.rank(letter_from_code(code))
-                converted = _np_convert(words, b.code, abar.code, forward=order.lt(b, abar))
-                if length > 1:
-                    before = _np_descents(words, ranks_from, barred)
-                    after = _np_descents(converted, ranks_to, barred)
-                    assert bool((before == after).all())
+            steps = words[:, :-1] * (2 * N) + words[:, 1:]
+            for (bcode, acode, forward), pairs in groups.items():
+                converted = _np_convert(words, bcode, acode, forward)
+                converted_steps = converted[:, :-1] * (2 * N) + converted[:, 1:]
+                for order, target in pairs:
+                    assert np.array_equal(tables[order][steps], tables[target][converted_steps])
     report("8a (descent preservation, all covering swaps, length <= 8, N <= 3)", started)
+
+
+def test_criterion_08a_conversion_matches_library():
+    """The array conversion of criterion 8a is the library's word_convert_step."""
+    started = time.time()
+    letters = [letter_from_code(c) for c in range(6)]
+    cases = [(b, abar, forward) for b in letters[0::2] for abar in letters[1::2] for forward in (True, False)]
+    assert len(cases) == 18
+    checked = 0
+    for length in range(1, 7):
+        words = list(all_words(3, length))
+        array = _np_all_words(6, length)
+        for b, abar, forward in cases:
+            expected = _np_convert(array, b.code, abar.code, forward).tolist()
+            assert [list(word_convert_step(word, b, abar, forward)) for word in words] == expected
+            checked += len(words)
+    assert checked == 1_007_748
+    report("8a (array conversion equals word_convert_step, length <= 6, N = 3)", started)
 
 
 def test_criterion_08b_insertion_fixed_point():

@@ -1,7 +1,8 @@
 import pytest
 
 from golden_data import CYW32_COLUMNS, CYW32_TABLEAUX, CYW33_COMPONENTS
-from suprschur.alphabet_words import enumerate_cyw, is_shuffle_closed, natural_order, parse_word, word_str
+from suprschur import switchboard
+from suprschur.alphabet_words import all_words, enumerate_cyw, is_shuffle_closed, parse_word, word_str
 from suprschur.errors import ConstructionFailureError
 from suprschur.free_algebra import NCPoly, kron_ideal, kronknuth_ideal, perp_contains
 from suprschur.switchboard import (
@@ -16,8 +17,90 @@ from suprschur.switchboard import (
     find_switch_partners,
     validate_switchboard,
 )
+from suprschur.tableaux import partitions_of
 
 w = parse_word
+
+
+def _window_partners_reference(window):
+    """All local switch moves on a three-letter window, by a case analysis
+    written independently of the ideal generators."""
+    p, q, r = window
+    out = []
+    if len({p, q, r}) == 3:
+        x, y, z = sorted(window)
+        knuth_moves = {
+            (x, z, y): (z, x, y),
+            (z, x, y): (x, z, y),
+            (y, x, z): (y, z, x),
+            (y, z, x): (y, x, z),
+        }
+        partner = knuth_moves.get(window)
+        if partner is not None:
+            out.append((partner, KNUTH))
+        if (y, z) == (x + 1, x + 2):
+            rotation_moves = {
+                (y, x, z): (x, z, y),
+                (x, z, y): (y, x, z),
+                (y, z, x): (z, x, y),
+                (z, x, y): (y, z, x),
+            }
+            partner = rotation_moves.get(window)
+            if partner is not None:
+                out.append((partner, ROTATION))
+    else:
+        moves = []
+        if p == q and p != r:
+            # (y,y,x) -> (y,x,y) for unbarred y above x; (y,y,z) -> (y,z,y) for barred y below z
+            if (not p.barred and r < p) or (p.barred and r > p):
+                moves.append((p, r, p))
+        if q == r and p != q:
+            # (z,y,y) -> (y,z,y) for unbarred y below z; (x,y,y) -> (y,x,y) for barred y above x
+            if (not q.barred and p > q) or (q.barred and p < q):
+                moves.append((q, p, q))
+        if p == r and p != q:
+            if not p.barred and q < p:
+                moves.append((p, p, q))  # (y,x,y) -> (y,y,x)
+            elif not p.barred and q > p:
+                moves.append((q, p, p))  # (y,z,y) -> (z,y,y)
+            elif p.barred and q > p:
+                moves.append((p, p, q))  # (y,z,y) -> (y,y,z)
+            elif p.barred and q < p:
+                moves.append((q, p, p))  # (y,x,y) -> (x,y,y)
+        out.extend((m, KNUTH) for m in moves)
+    return out
+
+
+def _find_switch_partners_reference(word, i):
+    if not 2 <= i <= len(word) - 1:
+        raise ConstructionFailureError(f"switch position {i} out of range", word=word, position=i)
+    out = []
+    for partner_window, kind in _window_partners_reference(word[i - 2 : i + 1]):
+        partner = word[: i - 2] + partner_window + word[i + 1 :]
+        if (partner, kind) not in out:
+            out.append((partner, kind))
+    return out
+
+
+def test_switch_table_matches_case_analysis():
+    windows = 0
+    for N in range(1, 5):
+        for window in all_words(N, 3):
+            found = find_switch_partners(window, 2)
+            assert len(found) == len(set(found))
+            assert set(found) == set(_window_partners_reference(window)), window
+            # at most one partner of each kind, so the board's choice is unambiguous
+            assert len({kind for _, kind in found}) == len(found)
+            windows += 1
+    assert windows == 800
+
+
+def test_boards_match_case_analysis(monkeypatch):
+    cases = [(lam, d) for n in range(1, 7) for lam in partitions_of(n) for d in range(n + 1)]
+    from_table = [build_cyw_switchboard(lam, d).edges for lam, d in cases]
+    monkeypatch.setattr(switchboard, "find_switch_partners", _find_switch_partners_reference)
+    from_reference = [build_cyw_switchboard(lam, d).edges for lam, d in cases]
+    assert from_table == from_reference
 
 
 def test_find_switch_partners_examples():
