@@ -2,9 +2,22 @@
 
 The oracle computes symmetric group characters by the Murnaghan-Nakayama
 recursion (via first-column hook lengths) and averages triple products over
-conjugacy classes.  The hook rules count colored tableaux whose diagonal
-reading word is a colored Yamanouchi word; tableaux are found through the
-insertion fixed point sqread(P(w)) = w, which is itself property-tested.
+conjugacy classes.  The hook rules count colored tableaux of shape nu whose
+diagonal reading word is a colored Yamanouchi word of content lam.
+
+The count is a direct fill, not a search over words.  A box's west and south
+neighbours lie on the diagonal read just before it, so filling nu diagonal by
+diagonal from the southwest needs only the previous diagonal to enforce the
+row and column conditions.  A word of content lam is colored Yamanouchi
+exactly when every prefix, with u unbarred and b barred letters of each
+value, has b[v] >= b[v+1] and lam[v] - u[v] >= lam[v+1] - u[v+1], so the
+condition is checked as each diagonal is read.  The last letter read is the box
+(1, nu_1), which decides whether the word ends barred.  One fill per shape,
+keyed by the number of barred letters, serves every d at once.  Each counted
+tableau is the insertion tableau of its reading word, so the count equals
+the number of colored Yamanouchi words w with sqread(P(w)) = w; the tests
+keep that insert-and-filter census as the reference
+(tests/test_kronecker.py::_sqread_shape_census_reference).
 """
 
 from __future__ import annotations
@@ -14,9 +27,11 @@ from math import factorial
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
-from .alphabet_words import enumerate_cyw, natural_order
+# The census calls none of enumerate_cyw, insert and sqread.  They stay bound
+# here because the benchmark's tracer rebinds them by attribute on this module.
+from .alphabet_words import enumerate_cyw  # noqa: F401
 from .errors import InvalidParameterError, ResourceLimitError
-from .tableaux import check_partition, insert, partitions_of, sqread
+from .tableaux import check_partition, insert, partitions_of, sqread  # noqa: F401
 
 ORACLE_BUDGET = 12
 
@@ -119,25 +134,102 @@ def hook(n: int, d: int) -> tuple[int, ...]:
     return (n - d,) + (1,) * d
 
 
-@lru_cache(maxsize=None)
-def _sqread_shape_census(lam: tuple[int, ...], d: int) -> Mapping[tuple[tuple[int, ...], bool], int]:
-    """For each colored Yamanouchi word that is a diagonal reading word,
-    record the shape of its insertion tableau and whether it ends barred.
+def _diagonal_steps(nu: tuple[int, ...]) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The diagonals of nu in reading order, from the southwest corner to the
+    box (1, nu_1).  Each diagonal lists its boxes bottom-up as the positions
+    of their west and south neighbours on the previous diagonal, -1 where
+    the neighbour is outside nu."""
+    steps = []
+    prev_rows: dict[int, int] = {}
+    for k in range(len(nu) - 1, -nu[0] if nu else 0, -1):
+        rows = [r for r in range(len(nu), 0, -1) if 1 <= r - k <= nu[r - 1]]
+        steps.append(tuple((prev_rows.get(r, -1), prev_rows.get(r + 1, -1)) for r in rows))
+        prev_rows = {r: i for i, r in enumerate(rows)}
+    return tuple(steps)
 
-    The cache hands the same census to every caller, so it is read-only."""
-    order = natural_order(max(len(lam), 1))
-    census: dict[tuple[tuple[int, ...], bool], int] = {}
-    for w in enumerate_cyw(lam, d):
-        tab = insert(w, order)
-        if sqread(tab) != w:
-            continue
-        widths: dict[int, int] = {}
-        for (r, _c) in tab.boxes:
-            widths[r] = widths.get(r, 0) + 1
-        shape = tuple(widths[r] for r in sorted(widths))
-        key = (shape, w[-1].barred if w else False)
-        census[key] = census.get(key, 0) + 1
-    return MappingProxyType(census)
+
+def _barred_prefixes_ok(diagonal: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    """Whether a finished diagonal's barred letters, read top-down, keep
+    b[v-1] >= b[v] after each of them.  b already counts them all, so they
+    are taken back off bottom-up."""
+    seen = list(b)
+    for x in diagonal:
+        if x & 1:
+            v = x >> 1
+            if v and seen[v] > seen[v - 1]:
+                return False
+            seen[v] -= 1
+    return True
+
+
+def _diagonal_fills(lam: tuple[int, ...], nu: tuple[int, ...]) -> dict[tuple[int, bool], int]:
+    """Count the colored tableaux of shape nu in the natural order whose
+    diagonal reading word is colored Yamanouchi of content lam, by number of
+    barred letters and by whether the word ends barred.
+
+    Letters are their natural-order codes 2(v-1) + barred, so the row and
+    column conditions compare codes.  A state is the previous diagonal, the
+    current one so far (filled bottom-up), a = lam - (unbarred counts) and
+    b = barred counts.  Unbarred letters are checked against a[v] >= a[v+1]
+    as they are placed; a diagonal's barred letters are read top-down after
+    its unbarred ones, so they are checked against b[v-1] >= b[v] once it is
+    complete.
+    """
+    parts = len(lam)
+    top = 2 * parts - 1
+    states: dict[tuple, int] = {((), (), lam, (0,) * parts): 1}
+    for boxes in _diagonal_steps(nu):
+        last = len(boxes) - 1
+        for j, (west, south) in enumerate(boxes):
+            grown: dict[tuple, int] = {}
+            for (prev, cur, a, b), count in states.items():
+                lo = 0 if west < 0 else prev[west] + (prev[west] & 1)
+                hi = top if south < 0 else prev[south] - 1 + (prev[south] & 1)
+                for x in range(lo, hi + 1):
+                    v = x >> 1
+                    if a[v] <= b[v]:
+                        continue
+                    if x & 1:
+                        na, nb = a, b[:v] + (b[v] + 1,) + b[v + 1:]
+                    else:
+                        if v + 1 < parts and a[v] <= a[v + 1]:
+                            continue
+                        na, nb = a[:v] + (a[v] - 1,) + a[v + 1:], b
+                    ncur = cur + (x,)
+                    if j < last:
+                        key = (prev, ncur, na, nb)
+                    elif _barred_prefixes_ok(ncur, nb):
+                        key = (ncur, (), na, nb)
+                    else:
+                        continue
+                    grown[key] = grown.get(key, 0) + count
+            states = grown
+    out: dict[tuple[int, bool], int] = {}
+    for (prev, _cur, _a, b), count in states.items():
+        key = (sum(b), bool(prev and prev[0] & 1))
+        out[key] = out.get(key, 0) + count
+    return out
+
+
+@lru_cache(maxsize=None)
+def _census_by_bars(lam: tuple[int, ...]) -> Mapping[int, Mapping[tuple[tuple[int, ...], bool], int]]:
+    """For every number d of barred letters, the census of shapes nu and
+    final bars; one diagonal fill per shape serves every d."""
+    by_d: dict[int, dict[tuple[tuple[int, ...], bool], int]] = {}
+    for nu in partitions_of(sum(lam)):
+        for (d, ends_barred), count in _diagonal_fills(lam, nu).items():
+            by_d.setdefault(d, {})[(nu, ends_barred)] = count
+    return MappingProxyType({d: MappingProxyType(census) for d, census in by_d.items()})
+
+
+_EMPTY: Mapping = MappingProxyType({})
+
+
+def _sqread_shape_census(lam: tuple[int, ...], d: int) -> Mapping[tuple[tuple[int, ...], bool], int]:
+    """Count colored tableaux of each shape nu whose diagonal reading word is
+    colored Yamanouchi of content lam with d barred letters, split by whether
+    the word ends barred.  The table is cached and read-only."""
+    return _census_by_bars(lam).get(d, _EMPTY)
 
 
 def g_hook_rule(lam: Sequence[int], d: int, nu: Sequence[int]) -> int:

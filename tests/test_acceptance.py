@@ -9,7 +9,6 @@ from collections import Counter
 from itertools import combinations
 
 import numpy as np
-import pytest
 
 from golden_data import CYW32_COLUMNS, CYW32_SCHUR, CYW32_TABLEAUX, CYW33_COMPONENTS
 from suprschur.alphabet_words import (
@@ -24,14 +23,13 @@ from suprschur.alphabet_words import (
 from suprschur.free_algebra import (
     kron_ideal,
     kronknuth_ideal,
-    jshuffle_ideal,
     plac_ideal,
 )
 from suprschur.kronecker import g_hook_oracle, g_hook_rule, g_sum_oracle, g_sum_rule, hook
 from suprschur.lascoux import compose_classes, gamma_class, knuth_class_analysis, shape_counts
 from suprschur.switchboard import build_cyw_switchboard, component_schur, components
 from suprschur.symfun import F_of_set, schur_expand, schur_expand_by_tableaux, word_convert_step
-from suprschur.tableaux import ColoredTableau, insert, partitions_of, sqread
+from suprschur.tableaux import ColoredTableau, partitions_of, sqread
 from suprschur.verify import (
     verify_commutation,
     verify_conjecture_jnu_kronknuth,
@@ -84,14 +82,29 @@ def test_criterion_02_component_expansions():
 
 def test_criterion_03_hook_rule_matches_oracle():
     started = time.time()
-    for n in range(1, 7):
+    for n in range(1, 9):
         for lam in partitions_of(n):
             for nu in partitions_of(n):
                 for d in range(n):
                     assert g_hook_rule(lam, d, nu) == g_hook_oracle(lam, d, nu)
                 for d in range(n + 1):
                     assert g_sum_rule(lam, d, nu) == g_sum_oracle(lam, d, nu)
-    report("3 (hook rule and sum rule vs character oracle, n <= 6)", started, 120)
+    report("3 (hook rule and sum rule vs character oracle, n <= 8)", started, 120)
+
+
+def test_criterion_03_hook_rule_matches_oracle_at_9():
+    started = time.time()
+    n = 9
+    checked = 0
+    for lam in partitions_of(n):
+        for nu in partitions_of(n):
+            for d in range(n):
+                assert g_hook_rule(lam, d, nu) == g_hook_oracle(lam, d, nu), (lam, d, nu)
+            for d in range(n + 1):
+                assert g_sum_rule(lam, d, nu) == g_sum_oracle(lam, d, nu), (lam, d, nu)
+            checked += 2 * n + 1
+    assert checked == 30 * 30 * 19
+    report("3 (hook rule and sum rule vs character oracle, n = 9)", started, 120)
 
 
 def test_criterion_04_reading_word_expansion_membership():

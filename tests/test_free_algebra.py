@@ -28,12 +28,9 @@ from suprschur.free_algebra import (
     congruent,
     content_space,
     e_k,
-    e_k_order,
     e_k_subset,
-    generator_polys,
     generator_windows,
     h_k,
-    h_k_order,
     ideal_contains,
     ideal_degree_basis,
     jshuffle_ideal,

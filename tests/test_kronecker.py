@@ -89,6 +89,32 @@ def test_hook_rule_examples():
         hook(3, 3)
 
 
+def _sqread_shape_census_reference(lam, d):
+    """The census by insertion: every colored Yamanouchi word of content lam
+    with d bars is inserted, and the fixed points sqread(P(w)) == w are
+    counted by shape and by whether the word ends barred."""
+    order = natural_order(max(len(lam), 1))
+    census = {}
+    for w in enumerate_cyw(lam, d):
+        tab = insert(w, order)
+        if sqread(tab) != w:
+            continue
+        shape = tuple(len(cells) for _, cells in tab.rows())
+        key = (shape, w[-1].barred if w else False)
+        census[key] = census.get(key, 0) + 1
+    return census
+
+
+def test_census_matches_insertion_reference():
+    checked = 0
+    for n in range(1, 9):
+        for lam in partitions_of(n):
+            for d in range(n + 1) if n <= 7 else (0, 1, 4, 8):
+                assert dict(_sqread_shape_census(lam, d)) == _sqread_shape_census_reference(lam, d), (lam, d)
+                checked += 1
+    assert checked == 284 + 22 * 4
+
+
 def test_census_cache_cannot_be_mutated():
     census = _sqread_shape_census((2, 1), 1)
     with pytest.raises((AttributeError, TypeError)):

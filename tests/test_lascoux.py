@@ -12,7 +12,7 @@ from suprschur.lascoux import (
     shape_counts,
     standardized_cyw,
 )
-from suprschur.symfun import F_of_set, is_symmetric, schur_expand
+from suprschur.symfun import is_symmetric, schur_expand
 from suprschur.tableaux import partitions_of
 
 

@@ -21,7 +21,6 @@ from golden_data import (
 )
 from suprschur.alphabet_words import (
     ShuffleOrder,
-    all_words,
     barred,
     big_bar_order,
     enumerate_cyw,
