@@ -4,8 +4,9 @@ in the quotient U/I.
 Each ideal is given by one generator table, ``generator_windows``: every
 word of every generator maps to the generators containing it.  A padded
 generator ``left·g·right`` meets a word exactly where one of the word's
-windows is a key of the table, and ``_padded_generators`` walks those
-instances; the content spaces and the perp test both use it.
+windows is a key of the table.  The perp test walks those instances with
+``_padded_generators``; a content space walks each instance once, from the
+window that is the generator's first word.
 
 All four relation families preserve the colored content of a word, so the
 degree-m component of each ideal splits across contents.  A content space
@@ -14,7 +15,8 @@ union-find on its words (their padded instances span exactly the vectors
 with zero coefficient sum on every connected class), and the longer ones
 project to rows over the classes, kept in echelon form.  One reduction by
 those rows gives a canonical normal form, so membership is "every content's
-form is zero" and congruence is "equal forms".
+form is zero" and congruence is "equal forms"; ``form_id`` names the form
+of one word by a small int.
 """
 
 from __future__ import annotations
@@ -388,15 +390,25 @@ class _ContentSpace:
             if ra != rb:
                 parent[max(ra, rb)] = min(ra, rb)
 
-        table = generator_windows(spec)
-        longer = {}  # padded generators of three or more terms, de-duplicated
+        # Walk each padded generator once, from its first word: a window that
+        # is a generator's first word pads it to an instance, and any other
+        # window of a generator is met again as that instance's first word.
+        generators_at = generator_windows(spec).get
+        index = self.index
+        n = len(codes)
+        # every generator has degree 2 or 3
+        spans = [(i, j) for i in range(n - 1) for j in range(i + 2, min(i + 3, n) + 1)]
+        longer = []  # padded generators of three or more terms, as (left, g, right)
         for w in self.words:
-            for left, gen, right in _padded_generators(table, w):
-                if len(gen) == 2:  # u - v: the two padded words are one class
-                    (u, _), (v, _) = gen
-                    union(self.index[left + u + right], self.index[left + v + right])
-                else:
-                    longer[left, gen, right] = None
+            for i, j in spans:
+                window = w[i:j]
+                for gen in generators_at(window, ()):
+                    if gen[0][0] != window:
+                        continue
+                    if len(gen) == 2:  # u - v: the two padded words are one class
+                        union(index[w], index[w[:i] + gen[1][0] + w[j:]])
+                    else:
+                        longer.append((w[:i], gen, w[j:]))
         roots: dict[int, int] = {}
         self.class_of = []
         for i in range(len(self.words)):
@@ -408,6 +420,9 @@ class _ContentSpace:
         self._pivots: dict[int, dict[int, Fraction]] = {}
         for left, gen, right in longer:
             self._add_row(self._classes({left + u + right: c for u, c in gen}))
+        # class -> its form id, filled in as form_id asks
+        self._form_ids: list[int | None] = [None] * self.num_classes
+        self._compound_forms: dict[frozenset, int] = {}
 
     def _classes(self, component: dict[ColoredWord, int]) -> dict[int, int]:
         row: dict[int, int] = {}
@@ -449,6 +464,26 @@ class _ContentSpace:
         exactly when the combinations are congruent, empty exactly when the
         combination lies in the ideal."""
         return self._reduce(self._classes(component))
+
+    def form_id(self, w: ColoredWord) -> int:
+        """A small int naming the normal form of the word ``w``: two words of
+        this content get equal ids exactly when their forms are equal.
+
+        Each class's form is reduced once.  A form that is a single class
+        with coefficient 1 is named by that class; any other form gets the
+        next id from ``num_classes`` on.
+        """
+        cls = self.class_of[self.index[w]]
+        fid = self._form_ids[cls]
+        if fid is None:
+            form = self._reduce({cls: 1})
+            if len(form) == 1 and 1 in form.values():
+                (fid,) = form
+            else:
+                key = frozenset(form.items())
+                fid = self._compound_forms.setdefault(key, self.num_classes + len(self._compound_forms))
+            self._form_ids[cls] = fid
+        return fid
 
 
 _content_cache: dict[tuple, _ContentSpace] = {}

@@ -26,7 +26,7 @@ from .alphabet_words import (
     word_str,
 )
 from .errors import ConstructionFailureError, VerificationFailureError
-from .free_algebra import NCPoly, binary_pairs, kron_ideal, perp_contains, plac_ideal, rotation_triples
+from .free_algebra import NCPoly, binary_pairs, kron_ideal, kronknuth_ideal, perp_contains, plac_ideal, rotation_triples
 from .symfun import F_of_set, SymFunc, schur_expand, schur_expand_by_tableaux
 
 KNUTH = "knuth"
@@ -212,15 +212,21 @@ def components(board: Switchboard) -> list[tuple[ColoredWord, ...]]:
 
 def component_schur(board: Switchboard) -> list[SymFunc]:
     """Per-component Schur expansion via tableau counting, cross-checked
-    against the monomial-basis oracle; the component indicator must pair to
-    zero with the whole Kronecker ideal."""
+    against the monomial-basis oracle.
+
+    Each component's indicator must pair to zero with ``kronknuth_ideal(N)``,
+    the ideal of the kron-Knuth conjecture.  A component of a canonical board
+    need not be orthogonal to the larger Kronecker ideal: for
+    ``lam = (3, 1)``, ``d = 2`` two of its seven components pair nonzero with
+    a padded far pair, although the whole board's indicator pairs to zero.
+    """
     N = max((x.value for w in board.vertices for x in w), default=1)
     order = natural_order(N)
     out = []
     for component in components(board):
         gamma = NCPoly({w: 1 for w in component})
-        if not perp_contains(kron_ideal(N), gamma):
-            raise VerificationFailureError("component indicator is not orthogonal to the Kronecker ideal")
+        if not perp_contains(kronknuth_ideal(N), gamma):
+            raise VerificationFailureError("component indicator is not orthogonal to the kron-Knuth ideal")
         by_tableaux = schur_expand_by_tableaux(component, order)
         by_oracle = schur_expand(F_of_set(component, order))
         if by_tableaux != by_oracle:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .alphabet_words import (
     ColoredWord,
@@ -335,21 +335,29 @@ def tableaux_with_sqread_in(words: Iterable[ColoredWord], order: ShuffleOrder) -
 def enumerate_fillings(shape: RestrictedShape, order: ShuffleOrder, max_letter: Letter) -> Iterator[ColoredTableau]:
     """All valid colored fillings of a shape with entries at most max_letter."""
     boxes = sorted(shape.boxes)
-    letters = [x for x in order.letters if order.rank(x) <= order.rank(max_letter)]
+    letters = tuple(x for x in order.letters if order.rank(x) <= order.rank(max_letter))
+    # The letters allowed east of x and south of x.  Each is a suffix of the
+    # letters in rank order, so the letters both neighbours allow are the
+    # shorter of their two suffixes.
+    east_of = {x: tuple(y for y in letters if order.lerow(x, y)) for x in letters}
+    south_of = {x: tuple(y for y in letters if order.lecol(x, y)) for x in letters}
     entries: dict[Box, Letter] = {}
 
     def fill(i: int) -> Iterator[ColoredTableau]:
         if i == len(boxes):
-            yield ColoredTableau(entries, order, shape)
+            # every box is filled, so the shape needs no check
+            yield ColoredTableau._wrap(dict(entries), order)
             return
         r, c = boxes[i]
         west = entries.get((r, c - 1))
         north = entries.get((r - 1, c))
-        for x in letters:
-            if west is not None and not order.lerow(west, x):
-                continue
-            if north is not None and not order.lecol(north, x):
-                continue
+        if west is None:
+            choices = letters if north is None else south_of[north]
+        elif north is None:
+            choices = east_of[west]
+        else:
+            choices = min(east_of[west], south_of[north], key=len)
+        for x in choices:
             entries[(r, c)] = x
             yield from fill(i + 1)
         entries.pop((r, c), None)
@@ -383,6 +391,51 @@ def _rectangle_meets_hook_only(boxes: frozenset[Box], r1: int, c1: int, r2: int,
     return True
 
 
+@lru_cache(maxsize=None)
+def _box_layout(boxes: frozenset[Box]) -> tuple[tuple[Box, ...], tuple[int, ...], tuple[tuple[int, int, bool, bool], ...]]:
+    """What the reading orders and arrows need of a box set, whatever its filling.
+
+    The boxes in lexicographic order; for each, the bitmask (bit i for the
+    i-th box) of the other boxes weakly southwest of it, which are read
+    before it; and each pair ``(i, j, nw, se)`` of a box and one strictly
+    southeast of it whose rectangle can carry an arrow: ``nw`` when the
+    letters are unbarred, ``se`` when they are barred.
+    """
+    ordered = tuple(sorted(boxes))
+    southwest = tuple(
+        sum(1 << i for i, (r1, c1) in enumerate(ordered) if (r1, c1) != (r2, c2) and r1 >= r2 and c1 <= c2)
+        for r2, c2 in ordered
+    )
+    candidates = []
+    for i, (r1, c1) in enumerate(ordered):
+        for j, (r2, c2) in enumerate(ordered):
+            if r2 <= r1 or c2 <= c1:
+                continue
+            two_by_two = r2 == r1 + 1 and c2 == c1 + 1
+            hook_only = _rectangle_meets_hook_only(boxes, r1, c1, r2, c2)
+            nw = two_by_two or (r2 - r1 >= 2 and hook_only)
+            se = two_by_two or (c2 - c1 >= 2 and hook_only)
+            if nw or se:
+                candidates.append((i, j, nw, se))
+    return ordered, southwest, tuple(candidates)
+
+
+def _arrow_indices(letters: Sequence[Letter], candidates: Iterable[tuple[int, int, bool, bool]]) -> list[tuple[int, int, str]]:
+    """The arrows of a filling, as (tail index, head index, direction), from
+    its letters in box order and its box set's candidate pairs."""
+    out = []
+    for i, j, nw, se in candidates:
+        x = letters[i]
+        # codes are 2*(value-1) + barred, so this is value + 1 with x's bar
+        if letters[j] == x + 2:
+            if x.barred:
+                if se:
+                    out.append((i, j, "SE"))
+            elif nw:
+                out.append((j, i, "NW"))
+    return out
+
+
 def arrows(tab: ColoredTableau) -> frozenset[Arrow]:
     """Arrows between boxes holding consecutive values, per the six templates.
 
@@ -392,24 +445,11 @@ def arrows(tab: ColoredTableau) -> frozenset[Arrow]:
     the first column and last row only.  Barred letters behave dually, with
     arrows pointing southeast and the roles of rows and columns exchanged.
     """
-    out = []
-    boxes = tab.boxes
-    for r1, c1 in boxes:
-        x = tab[(r1, c1)]
-        for r2, c2 in boxes:
-            if r2 <= r1 or c2 <= c1:
-                continue
-            y = tab[(r2, c2)]
-            if y.barred != x.barred or y.value != x.value + 1:
-                continue
-            two_by_two = r2 == r1 + 1 and c2 == c1 + 1
-            if not x.barred:
-                if two_by_two or (r2 - r1 >= 2 and _rectangle_meets_hook_only(boxes, r1, c1, r2, c2)):
-                    out.append(Arrow(tail=(r2, c2), head=(r1, c1), direction="NW"))
-            else:
-                if two_by_two or (c2 - c1 >= 2 and _rectangle_meets_hook_only(boxes, r1, c1, r2, c2)):
-                    out.append(Arrow(tail=(r1, c1), head=(r2, c2), direction="SE"))
-    return frozenset(out)
+    ordered, _, candidates = _box_layout(tab.boxes)
+    letters = [tab.entries[b] for b in ordered]
+    return frozenset(
+        Arrow(tail=ordered[t], head=ordered[h], direction=d) for t, h, d in _arrow_indices(letters, candidates)
+    )
 
 
 def ne_maximal_boxes(tab: ColoredTableau) -> list[Box]:
@@ -459,51 +499,52 @@ def is_arrow_respecting(tab: ColoredTableau, word: ColoredWord) -> bool:
     return place(0)
 
 
-@lru_cache(maxsize=None)
-def _southwest_masks(boxes: frozenset[Box]) -> tuple[tuple[Box, ...], tuple[int, ...]]:
-    """The boxes in lexicographic order, and for each the bitmask (bit i for
-    the i-th box) of the other boxes weakly southwest of it, which are read
-    before it.  The mask depends only on the box set, not on the filling."""
-    ordered = tuple(sorted(boxes))
-    masks = tuple(
-        sum(1 << i for i, (r1, c1) in enumerate(ordered) if (r1, c1) != (r2, c2) and r1 >= r2 and c1 <= c2)
-        for r2, c2 in ordered
-    )
-    return ordered, masks
-
-
-def _reading_orders(tab: ColoredTableau, label: Callable[[Box], object]) -> Iterator[tuple]:
-    """Every box order compatible with the box poset and the arrows, each as
-    the tuple of its boxes' labels, in lexicographic order of the boxes.
-
-    One depth-first search with an explicit stack: the boxes read so far are
-    a bitmask, and a box may be read once its predecessor mask is inside it.
-    """
-    boxes, southwest = _southwest_masks(tab.boxes)
+def _reading_orders(tab: ColoredTableau) -> tuple[tuple[Box, ...], list[Letter], tuple[tuple[int, ...], ...]]:
+    """The boxes in lexicographic order, their letters, and every box order
+    compatible with the box poset and the arrows, as index tuples."""
+    ordered, southwest, candidates = _box_layout(tab.boxes)
+    letters = [tab.entries[b] for b in ordered]
     preds = list(southwest)
-    for arrow in arrows(tab):
-        preds[boxes.index(arrow.head)] |= 1 << boxes.index(arrow.tail)
-    # reversed, so that the stack pops the smallest box first
-    steps = [(1 << i, preds[i], label(boxes[i])) for i in reversed(range(len(boxes)))]
-    full = (1 << len(boxes)) - 1
-    stack: list[tuple[int, tuple]] = [(0, ())]
+    for tail, head, _ in _arrow_indices(letters, candidates):
+        preds[head] |= 1 << tail
+    return ordered, letters, _linear_extensions(tuple(preds))
+
+
+@lru_cache(maxsize=None)
+def _linear_extensions(preds: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Every order of the indices 0..n-1 in which each index comes after its
+    predecessor mask (bit i for index i), in lexicographic order.
+
+    One depth-first search with an explicit stack: the indices read so far
+    are a bitmask.  The orders depend only on the masks, so they are found
+    once for all the tableaux whose box poset and arrows give those masks.
+    """
+    # reversed, so that the stack pops the smallest index first
+    steps = [(1 << i, preds[i], i) for i in reversed(range(len(preds)))]
+    full = (1 << len(preds)) - 1
+    out = []
+    stack: list[tuple[int, tuple[int, ...]]] = [(0, ())]
     while stack:
         read, seq = stack.pop()
         if read == full:
-            yield seq
+            out.append(seq)
             continue
-        for b, need, x in steps:
+        for b, need, i in steps:
             if not read & b and need & read == need:
-                stack.append((read | b, seq + (x,)))
+                stack.append((read | b, seq + (i,)))
+    return tuple(out)
 
 
 def arrow_respecting_extensions(tab: ColoredTableau) -> Iterator[tuple[Box, ...]]:
-    """All box orders compatible with the box poset and the arrows."""
-    return _reading_orders(tab, lambda box: box)
+    """All box orders compatible with the box poset and the arrows, in
+    lexicographic order of the boxes."""
+    ordered, _, orders = _reading_orders(tab)
+    return (tuple(map(ordered.__getitem__, seq)) for seq in orders)
 
 
 def arrow_respecting_words(tab: ColoredTableau) -> list[ColoredWord]:
-    return sorted(set(_reading_orders(tab, tab.entries.__getitem__)))
+    _, letters, orders = _reading_orders(tab)
+    return sorted({tuple(map(letters.__getitem__, seq)) for seq in orders})
 
 
 def some_arrow_respecting_word(tab: ColoredTableau) -> ColoredWord:

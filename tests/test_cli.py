@@ -77,6 +77,14 @@ def test_switchboard_dot(capsys, tmp_path):
     assert {"4,2": 1} in payload["component_schur"]
 
 
+def test_switchboard_schur_with_components_off_the_kronecker_ideal(capsys):
+    # two of this board's seven components pair nonzero with the Kronecker
+    # ideal; all are orthogonal to the kron-Knuth ideal
+    code, out = run(capsys, "switchboard", "--lambda", "3,1", "--d", "2", "--schur")
+    assert code == 0
+    assert len(json.loads(out)["component_schur"]) == 7
+
+
 def test_lascoux(capsys):
     code, out = run(capsys, "lascoux", "--lambda", "3,1", "--mu", "2,1,1")
     payload = json.loads(out)

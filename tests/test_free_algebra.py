@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 
 import pytest
 
@@ -378,6 +378,106 @@ def test_membership_agrees_with_dense_elimination():
         assert 0 < equal < 40
 
 
+def _content_space_reference(spec, codes):
+    """The two-sided walk the content spaces used before they walked each
+    padded generator from its first word only: every padded generator is met
+    from every word of its support.  Returns the words, the class of each
+    word, and the longer padded generators as rows over the classes."""
+    words = list(free_algebra.multiset_words([letter_from_code(c) for c in codes]))
+    index = {word: i for i, word in enumerate(words)}
+    parent = list(range(len(words)))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    table = generator_windows(spec)
+    longer = {}
+    for word in words:
+        for left, gen, right in free_algebra._padded_generators(table, word):
+            if len(gen) == 2:
+                (u, _), (v, _) = gen
+                ra, rb = find(index[left + u + right]), find(index[left + v + right])
+                parent[max(ra, rb)] = min(ra, rb)
+            else:
+                longer[left, gen, right] = None
+    roots = {}
+    class_of = [roots.setdefault(find(i), len(roots)) for i in range(len(words))]
+    rows = []
+    for left, gen, right in longer:
+        row = {}
+        for u, c in gen:
+            cls = class_of[index[left + u + right]]
+            row[cls] = row.get(cls, 0) + c
+        rows.append(row)
+    return words, class_of, rows
+
+
+def _pivot_columns(rows):
+    """The leading columns of the span of the rows, which every echelon form
+    of it shares."""
+    pivots = {}
+    for row in rows:
+        row = {c: Fraction(v) for c, v in row.items() if v}
+        while row:
+            lead = min(row)
+            if lead not in pivots:
+                pivots[lead] = {c: v / row[lead] for c, v in row.items()}
+                break
+            factor = row[lead]
+            for c, v in pivots[lead].items():
+                new = row.get(c, 0) - factor * v
+                if new:
+                    row[c] = new
+                else:
+                    row.pop(c, None)
+    return set(pivots)
+
+
+def test_content_spaces_match_two_sided_walk():
+    cases = [(kron_ideal(3), n, 3) for n in range(1, 7)]
+    cases += [(spec, n, 2) for spec in (kronknuth_ideal(2), jshuffle_ideal(2), plac_ideal(natural_order(2))) for n in (4, 5)]
+    checked = 0
+    for spec, n, N in cases:
+        for codes in combinations_with_replacement(range(2 * N), n):
+            space = free_algebra._ContentSpace(spec, codes)
+            words, class_of, rows = _content_space_reference(spec, codes)
+            assert space.words == words and space.class_of == class_of
+            assert set(space._pivots) == _pivot_columns(rows)
+            checked += 1
+    assert checked == 923 + 3 * (35 + 56)
+
+
+def test_form_ids_match_normal_forms():
+    # every content of 3 to 5 letters at N=3 whose space has pivot rows, so
+    # that forms of more than one class occur
+    contents = compound = 0
+    for spec in (kron_ideal(3), kronknuth_ideal(3)):
+        for codes in (c for n in (3, 4, 5) for c in combinations_with_replacement(range(6), n)):
+            space = free_algebra._ContentSpace(spec, codes)
+            if not space._pivots:
+                continue
+            contents += 1
+            by_form, by_id = {}, {}
+            for word in space.words:
+                by_form.setdefault(frozenset(space.normal_form({word: 1}).items()), set()).add(word)
+                fid = space.form_id(word)
+                by_id.setdefault(fid, set()).add(word)
+                compound += fid >= space.num_classes
+            # equal ids exactly when equal forms, for every pair of words
+            assert sorted(map(sorted, by_form.values())) == sorted(map(sorted, by_id.values()))
+    assert contents >= 40 and compound > 0
+    # a form of one class with a coefficient other than 1 is not that class's
+    # form; none of the contents above has one, so set a pivot row by hand
+    space = free_algebra._ContentSpace(kron_ideal(2), (0, 2))
+    assert space.num_classes == 2 and not space._pivots
+    space._pivots = {0: {1: Fraction(-2)}}
+    u, v = space.words
+    assert space.normal_form({u: 1}) == {1: 2} and space.normal_form({v: 1}) == {1: 1}
+    assert space.form_id(u) != space.form_id(v)
+
+
 def test_column_swap_and_vanishing_memberships():
     # equal adjacent flags let adjacent column depths swap with a sign
     kron = kron_ideal(2)
@@ -426,6 +526,17 @@ def test_reading_word_congruence_reports_a_failure(monkeypatch):
     dense_member = _dense_membership(kron_ideal(2), len(word))
     assert not dense_member(NCPoly.from_word(word) - NCPoly.from_word(stranger))
     assert all(dense_member(NCPoly.from_word(a) - NCPoly.from_word(b)) for a, b in added[:-1])
+
+
+def test_reading_word_congruence_counts_contents_whatever_the_cache(monkeypatch):
+    from suprschur import verify
+
+    monkeypatch.setattr(free_algebra, "_content_cache", {})
+    cold = verify.verify_reading_word_congruence(5, 2)
+    # a cold run builds one space per content it consults
+    assert cold["ok"] and cold["contents"] == len(free_algebra._content_cache) > 0
+    warm = verify.verify_reading_word_congruence(5, 2)
+    assert warm == cold
 
 
 def test_small_reading_word_expansions():

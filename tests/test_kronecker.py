@@ -5,6 +5,7 @@ import pytest
 from suprschur.alphabet_words import enumerate_cyw, natural_order
 from suprschur.errors import InvalidParameterError, ResourceLimitError
 from suprschur.kronecker import (
+    ORACLE_BUDGET,
     _sqread_shape_census,
     character_table,
     class_size,
@@ -40,8 +41,9 @@ def test_class_sizes():
 
 
 def test_budget():
-    with pytest.raises(ResourceLimitError):
-        character_table(13)
+    with pytest.raises(ResourceLimitError) as info:
+        character_table(ORACLE_BUDGET + 1)
+    assert info.value.required == ORACLE_BUDGET + 1
 
 
 def test_g_oracle_examples():
@@ -123,16 +125,6 @@ def test_census_cache_cannot_be_mutated():
         census[((2, 1), False)] = 0
     assert g_hook_rule((2, 1), 1, (2, 1)) == g_hook_oracle((2, 1), 1, (2, 1)) == 1
     assert g_sum_rule((2, 1), 1, (2, 1)) == g_sum_oracle((2, 1), 1, (2, 1)) == 2
-
-
-def test_hook_rules_match_oracle_small():
-    for n in range(1, 6):
-        for lam in partitions_of(n):
-            for nu in partitions_of(n):
-                for d in range(n):
-                    assert g_hook_rule(lam, d, nu) == g_hook_oracle(lam, d, nu)
-                for d in range(n + 1):
-                    assert g_sum_rule(lam, d, nu) == g_sum_oracle(lam, d, nu)
 
 
 def test_bar_removal_bijection():

@@ -17,6 +17,7 @@ from suprschur.switchboard import (
     find_switch_partners,
     validate_switchboard,
 )
+from suprschur.kronecker import g_sum_rule
 from suprschur.tableaux import partitions_of
 
 w = parse_word
@@ -175,6 +176,27 @@ def test_components_and_schur_golden():
         assert len(matching) == 1
         idx = comps.index(matching[0])
         assert expansions[idx] == expansion
+
+
+def test_component_schur_on_every_small_board():
+    # the components are orthogonal to the kron-Knuth ideal, though not all
+    # of them to the Kronecker ideal, and their expansions add up to the
+    # hook sum rule
+    boards = 0
+    for n in range(1, 6):
+        for lam in partitions_of(n):
+            for d in range(n + 1):
+                boards += 1
+                total = {}
+                for expansion in component_schur(build_cyw_switchboard(lam, d)):
+                    for nu, coeff in expansion.items():
+                        total[nu] = total.get(nu, 0) + coeff
+                expected = {nu: g_sum_rule(lam, d, nu) for nu in partitions_of(n)}
+                assert total == {nu: g for nu, g in expected.items() if g}
+    assert boards == 87
+    board = build_cyw_switchboard((3, 1), 2)
+    gammas = [NCPoly({v: 1 for v in comp}) for comp in components(board)]
+    assert sum(not perp_contains(kron_ideal(2), gamma) for gamma in gammas) == 2
 
 
 def test_board_indicator_is_perp():

@@ -352,6 +352,74 @@ def test_arrow_respecting_orders_match_reference():
     assert arrow_respecting_words(empty) == [()]
 
 
+def _arrows_reference(tab):
+    """The all-pairs loop the library used before it cached, per box set,
+    the pairs that can carry an arrow."""
+
+    def meets_hook_only(boxes, r1, c1, r2, c2):
+        return not any((r, c) in boxes for r in range(r1, r2) for c in range(c1 + 1, c2 + 1))
+
+    out = []
+    boxes = tab.boxes
+    for r1, c1 in boxes:
+        x = tab[(r1, c1)]
+        for r2, c2 in boxes:
+            if r2 <= r1 or c2 <= c1:
+                continue
+            y = tab[(r2, c2)]
+            if y.barred != x.barred or y.value != x.value + 1:
+                continue
+            two_by_two = r2 == r1 + 1 and c2 == c1 + 1
+            if not x.barred:
+                if two_by_two or (r2 - r1 >= 2 and meets_hook_only(boxes, r1, c1, r2, c2)):
+                    out.append(Arrow(tail=(r2, c2), head=(r1, c1), direction="NW"))
+            else:
+                if two_by_two or (c2 - c1 >= 2 and meets_hook_only(boxes, r1, c1, r2, c2)):
+                    out.append(Arrow(tail=(r1, c1), head=(r2, c2), direction="SE"))
+    return frozenset(out)
+
+
+def _enumerate_fillings_reference(shape, order, max_letter):
+    """The fill that called the order methods for every candidate letter."""
+    boxes = sorted(shape.boxes)
+    letters = [x for x in order.letters if order.rank(x) <= order.rank(max_letter)]
+    entries = {}
+
+    def fill(i):
+        if i == len(boxes):
+            yield ColoredTableau(entries, order, shape)
+            return
+        r, c = boxes[i]
+        west = entries.get((r, c - 1))
+        north = entries.get((r - 1, c))
+        for x in letters:
+            if west is not None and not order.lerow(west, x):
+                continue
+            if north is not None and not order.lecol(north, x):
+                continue
+            entries[(r, c)] = x
+            yield from fill(i + 1)
+        entries.pop((r, c), None)
+
+    yield from fill(0)
+
+
+def test_arrows_and_fillings_match_reference():
+    order = natural_order(3)
+    count = arrowed = 0
+    for shape in restricted_shapes_in_box(5, 5, max_boxes=5):
+        fillings = list(enumerate_fillings(shape, order, barred(3)))
+        assert fillings == list(_enumerate_fillings_reference(shape, order, barred(3)))
+        for tab in fillings:
+            count += 1
+            expected = _arrows_reference(tab)
+            assert arrows(tab) == expected
+            arrowed += bool(expected)
+    assert count == 11438 and arrowed > 1000
+    assert list(enumerate_fillings(RestrictedShape(()), order, barred(3))) == [ColoredTableau({}, order)]
+    assert arrows(ColoredTableau({}, order)) == frozenset()
+
+
 def test_convert_examples():
     frm = ShuffleOrder(w("1 2 1' 2'"))
     to = ShuffleOrder(w("1 1' 2 2'"))
