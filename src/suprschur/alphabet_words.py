@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 from itertools import product
-from math import comb, factorial
+from math import factorial
 from typing import Iterable, Sequence
 
 from .errors import InvalidParameterError, MalformedInputError
@@ -388,20 +388,3 @@ def all_words(N: int, length: int) -> Iterable[ColoredWord]:
     """Every colored word of the given length over the alphabet of size 2N."""
     alphabet = [letter_from_code(c) for c in range(2 * N)]
     return product(alphabet, repeat=length)
-
-
-def cyw_count_formula(lam: tuple[int, ...], d: int) -> int:
-    """#SYT(lam) * C(|lam|, d), for cross-checking the enumeration."""
-    return syt_count(tuple(lam)) * comb(sum(lam), d)
-
-
-@lru_cache(maxsize=None)
-def syt_count(lam: tuple[int, ...]) -> int:
-    """Number of standard Young tableaux, by the hook length formula."""
-    n = sum(lam)
-    conj = [sum(1 for part in lam if part > j) for j in range(lam[0])] if lam else []
-    denom = 1
-    for i, row in enumerate(lam):
-        for j in range(row):
-            denom *= row - j + conj[j] - i - 1
-    return factorial(n) // denom

@@ -25,7 +25,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import product
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -343,31 +343,26 @@ def _padded_generators(
 
 
 def multiset_words(letters: Sequence[Letter]) -> Iterator[ColoredWord]:
-    """Distinct arrangements of a letter multiset, lexicographic by code."""
-    pool = sorted(letters)
-    distinct = []
-    counts = []
-    for x in pool:
-        if distinct and distinct[-1] == x:
-            counts[-1] += 1
-        else:
-            distinct.append(x)
-            counts.append(1)
-    word: list[Letter] = []
+    """Distinct arrangements of a letter multiset, lexicographic by code.
 
-    def rec(remaining: int) -> Iterator[ColoredWord]:
-        if remaining == 0:
-            yield tuple(word)
+    Each word is the next permutation of the last one (Knuth's Algorithm L):
+    find the rightmost ascent, swap its left letter with the rightmost
+    larger letter after it, and reverse the tail.
+    """
+    word = sorted(letters)
+    n = len(word)
+    while True:
+        yield tuple(word)
+        j = n - 2
+        while j >= 0 and word[j] >= word[j + 1]:
+            j -= 1
+        if j < 0:
             return
-        for i, x in enumerate(distinct):
-            if counts[i]:
-                counts[i] -= 1
-                word.append(x)
-                yield from rec(remaining - 1)
-                word.pop()
-                counts[i] += 1
-
-    yield from rec(len(pool))
+        l = n - 1
+        while word[j] >= word[l]:
+            l -= 1
+        word[j], word[l] = word[l], word[j]
+        word[j + 1 :] = word[:j:-1]
 
 
 class _ContentSpace:
@@ -558,7 +553,14 @@ def perp_contains(spec: IdealSpec, gamma: NCPoly) -> bool:
 
 
 def ideal_degree_basis(spec: IdealSpec, degree: int) -> list[NCPoly]:
-    """Spanning set of the degree component: every padding of every generator."""
+    """Spanning set of the degree component: every padding of every generator.
+
+    The library decides membership by content spaces and never calls this.
+    It stays, exported, because it states the ideal by its definition, with
+    no reduction in between: it is the dense side against which membership
+    and the content spaces are checked, and it refuses a degree component
+    over the monomial budget like every other path.
+    """
     if degree < 2:
         raise InvalidParameterError("generators start in degree 2")
     total = (2 * spec.N) ** degree
@@ -670,48 +672,52 @@ def _signed_column_sum(depths: Sequence[int], column: Callable[[int, int], NCPol
     sign(pi) * column(1, k_1) * ... * column(t, k_t), where
     k_j = depths[j - 1] + pi(j) - j.
 
-    The t x t table of column factors is built once, and only the
-    permutations whose factors are all nonzero are multiplied out.  The
-    shifts pi(j) - j sum to zero, so every permutation has
-    k_1 + ... + k_t = sum(depths).  One that picks a negative k, whose
-    factor is zero, also picks a k above its column's depth, and a
-    factor-by-factor product would build a prefix of degree above
-    sum(depths) before reaching the zero.  Checked on the table, the zero is
-    found before any product, and every product built has the degree of the
-    result.
+    The sum is built column by column, left to right, from the t x t table
+    of column factors.  After j columns a state is the set of row offsets
+    pi(1), ..., pi(j) used so far, as a bitmask, and it holds the signed sum
+    of the products of the first j factors over those choices.  Appending
+    offset p to a state multiplies it on the right by column j+1's factor at
+    p, with sign (-1)^m, where m is the number of used offsets above p: the
+    inversions that p closes.  The state of all t offsets is the sum.
+    Partial sums meet at a state and cancel there, before any later factor
+    is multiplied in.
+
+    A state is kept only if the columns still to come can be given the
+    unused offsets with every factor nonzero.  One backward pass over the
+    2^t masks decides this per table.  Without it, a state whose every
+    completion hits a zero factor is still carried to the end, and its
+    products can have degree above sum(depths): the shifts pi(j) - j sum to
+    zero, so a prefix that skips low offsets reaches higher k.  With it,
+    every product built is a prefix of a surviving permutation.
     """
     t = len(depths)
     table = [[column(j, depths[j - 1] + p - j) for p in range(1, t + 1)] for j in range(1, t + 1)]
-    total: dict[ColoredWord, int] = {}
-    for pi in permutations(range(t)):
-        factors = [row[p] for row, p in zip(table, pi)]
-        if not all(factors):
-            continue
-        term = factors[0] if factors else NCPoly.one()
-        for factor in factors[1:]:
-            term = term * factor
-        sign = _permutation_sign(pi)
-        for w, c in term.terms.items():
-            total[w] = total.get(w, 0) + sign * c
-    return NCPoly._wrap({w: c for w, c in total.items() if c})
-
-
-def _permutation_sign(pi: Sequence[int]) -> int:
-    """Sign of a permutation of 0..t-1, by its cycles."""
-    sign = 1
-    seen = [False] * len(pi)
-    for start in range(len(pi)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = pi[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    full = (1 << t) - 1
+    # completes[mask]: the columns from popcount(mask) on can take the unused offsets
+    completes = [False] * (full + 1)
+    completes[full] = True
+    for mask in range(full - 1, -1, -1):
+        row = table[mask.bit_count()]
+        completes[mask] = any(
+            not mask >> p & 1 and row[p] and completes[mask | 1 << p] for p in range(t)
+        )
+    if not completes[0]:
+        return NCPoly()
+    states = {0: NCPoly.one()}
+    for row in table:
+        sums: dict[int, dict[ColoredWord, int]] = {}
+        for mask, partial in states.items():
+            for p, factor in enumerate(row):
+                bit = 1 << p
+                if mask & bit or not factor or not completes[mask | bit]:
+                    continue
+                total = sums.setdefault(mask | bit, {})
+                sign = -1 if (mask >> p).bit_count() % 2 else 1
+                # the empty state's partial sum is 1, so its products are the factors
+                for w, c in (factor if mask == 0 else partial * factor).terms.items():
+                    total[w] = total.get(w, 0) + sign * c
+        states = {mask: poly for mask, total in sums.items() if (poly := NCPoly(total))}
+    return states.get(full, NCPoly())
 
 
 FlagValue = Letter | None  # None is the adjoined bottom element

@@ -33,7 +33,7 @@ from .alphabet_words import enumerate_cyw  # noqa: F401
 from .errors import InvalidParameterError, ResourceLimitError
 from .tableaux import check_partition, insert, partitions_of, sqread  # noqa: F401
 
-ORACLE_BUDGET = 12
+ORACLE_BUDGET = 14
 
 
 @lru_cache(maxsize=None)

@@ -703,11 +703,6 @@ def superstandard(lam: Sequence[int]) -> IntRows:
     return tuple(rows)
 
 
-def is_superstandard_ssyt(rows: Sequence[Sequence[int]]) -> bool:
-    """Row i filled entirely with the value i."""
-    return all(all(x == i + 1 for x in row) for i, row in enumerate(rows))
-
-
 def ordinary_rsk(word: Sequence[int]) -> tuple[IntRows, IntRows]:
     """Row insertion with recording tableau."""
     p_rows: list[list[int]] = []

@@ -107,6 +107,21 @@ def test_criterion_03_hook_rule_matches_oracle_at_9():
     report("3 (hook rule and sum rule vs character oracle, n = 9)", started, 120)
 
 
+def test_criterion_03_hook_rule_matches_oracle_at_10():
+    started = time.time()
+    n = 10
+    checked = 0
+    for lam in partitions_of(n):
+        for nu in partitions_of(n):
+            for d in range(n):
+                assert g_hook_rule(lam, d, nu) == g_hook_oracle(lam, d, nu), (lam, d, nu)
+            for d in range(n + 1):
+                assert g_sum_rule(lam, d, nu) == g_sum_oracle(lam, d, nu), (lam, d, nu)
+            checked += 2 * n + 1
+    assert checked == 42 * 42 * 21
+    report("3 (hook rule and sum rule vs character oracle, n = 10)", started, 120)
+
+
 def test_criterion_04_reading_word_expansion_membership():
     started = time.time()
     assert verify_jnu(kron_ideal(2), 2, 6)["ok"]
@@ -117,7 +132,7 @@ def test_criterion_04_reading_word_expansion_membership():
 
 def test_criterion_05_conjectured_strengthening_reported_range():
     started = time.time()
-    for N, max_size in ((1, 5), (2, 7), (3, 6)):
+    for N, max_size in ((1, 5), (2, 7), (2, 8), (3, 6)):
         outcome = verify_conjecture_jnu_kronknuth(N, max_size)
         assert outcome["ok"], outcome
         assert outcome["verified_range"] == {"N": N, "max_size": max_size}

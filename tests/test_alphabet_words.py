@@ -1,6 +1,7 @@
 import copy
 import pickle
 from collections import Counter
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,7 +14,6 @@ from suprschur.alphabet_words import (
     big_bar_order,
     colored_content,
     covering_swap_path,
-    cyw_count_formula,
     descent_set,
     double_down,
     down_arrow,
@@ -24,7 +24,6 @@ from suprschur.alphabet_words import (
     natural_order,
     parse_word,
     standardize,
-    syt_count,
     to_plain_r,
     unbarred,
     word_key,
@@ -187,8 +186,13 @@ def test_is_yamanouchi_examples():
     assert is_yamanouchi(w("2")) == (False, None)
 
 
+def is_superstandard_ssyt(rows):
+    """Row i filled entirely with the value i."""
+    return all(all(x == i + 1 for x in row) for i, row in enumerate(rows))
+
+
 def test_yamanouchi_matches_superstandard_insertion():
-    from suprschur.tableaux import is_superstandard_ssyt, ordinary_insertion_tableau
+    from suprschur.tableaux import ordinary_insertion_tableau
 
     from itertools import product
 
@@ -199,6 +203,8 @@ def test_yamanouchi_matches_superstandard_insertion():
                 expected = is_superstandard_ssyt(ordinary_insertion_tableau(word))
                 assert is_yamanouchi(colored)[0] == expected
 
+    assert is_superstandard_ssyt(((1, 1, 1), (2, 2)))
+    assert not is_superstandard_ssyt(((1, 2),))
     check(4, 8)
     check(6, 5)
 
@@ -242,6 +248,22 @@ def test_enumerate_cyw_filter_oracle_size_six():
             continue
         for d in range(7):
             assert len(enumerate_cyw(lam, d)) == buckets.get((lam, d), 0)
+
+
+def syt_count(lam):
+    """Number of standard Young tableaux, by the hook length formula."""
+    n = sum(lam)
+    conj = [sum(1 for part in lam if part > j) for j in range(lam[0])] if lam else []
+    denom = 1
+    for i, row in enumerate(lam):
+        for j in range(row):
+            denom *= row - j + conj[j] - i - 1
+    return factorial(n) // denom
+
+
+def cyw_count_formula(lam, d):
+    """#SYT(lam) * C(|lam|, d), for cross-checking the enumeration."""
+    return syt_count(tuple(lam)) * comb(sum(lam), d)
 
 
 def test_cyw_count_formula():

@@ -81,9 +81,47 @@ def _signed_column_sum_reference(depths, column):
     return total
 
 
-def _by_reference(monkeypatch, function, *args):
+def _permutation_sign(pi):
+    """Sign of a permutation of 0..t-1, by its cycles."""
+    sign = 1
+    seen = [False] * len(pi)
+    for start in range(len(pi)):
+        if seen[start]:
+            continue
+        length = 0
+        j = start
+        while not seen[j]:
+            seen[j] = True
+            j = pi[j]
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def _signed_column_sum_by_permutations(depths, column):
+    """The sum the library built before it went column by column: the table
+    of column factors is built once, and every permutation whose factors are
+    all nonzero is multiplied out in full."""
+    t = len(depths)
+    table = [[column(j, depths[j - 1] + p - j) for p in range(1, t + 1)] for j in range(1, t + 1)]
+    total = {}
+    for pi in permutations(range(t)):
+        factors = [row[p] for row, p in zip(table, pi)]
+        if not all(factors):
+            continue
+        term = factors[0] if factors else NCPoly.one()
+        for factor in factors[1:]:
+            term = term * factor
+        sign = _permutation_sign(pi)
+        for word, c in term.terms.items():
+            total[word] = total.get(word, 0) + sign * c
+    return NCPoly(total)
+
+
+def _by_reference(monkeypatch, function, *args, reference=_signed_column_sum_reference):
     with monkeypatch.context() as patch:
-        patch.setattr(free_algebra, "_signed_column_sum", _signed_column_sum_reference)
+        patch.setattr(free_algebra, "_signed_column_sum", reference)
         return function(*args)
 
 
@@ -108,8 +146,37 @@ def test_J_augmented_matches_reference_on_flagged_cases(monkeypatch):
     assert verify.verify_flagged(N=2, max_alpha_weight=3, box=3)["ok"]
     monkeypatch.undo()
     assert len(cases) > 100
+    assert any(any(inserts) for _, _, inserts, _ in cases)
+    assert any(not any(inserts) for _, _, inserts, _ in cases)  # the J_flagged cases
     for case in cases:
-        assert J_augmented(*case) == _by_reference(monkeypatch, J_augmented, *case)
+        poly = J_augmented(*case)
+        assert poly == _by_reference(monkeypatch, J_augmented, *case)
+        assert poly == _by_reference(monkeypatch, J_augmented, *case, reference=_signed_column_sum_by_permutations)
+
+
+def test_jnu_matches_permutation_sum(monkeypatch):
+    cases = [(nu, N, order) for N, size in ((3, 6), (4, 5)) for order in (natural_order(N), big_bar_order(N))
+             for nu in _partitions_up_to(size)]
+    assert len(cases) == 2 * (30 + 19)
+    for nu, N, order in cases:
+        expected = _by_reference(monkeypatch, J_nu, nu, N, order, reference=_signed_column_sum_by_permutations)
+        assert J_nu(nu, N, order) == expected, (nu, N, order.key())
+
+
+def test_column_sum_edge_cases(monkeypatch):
+    def by_permutations(function, *args):
+        return _by_reference(monkeypatch, function, *args, reference=_signed_column_sum_by_permutations)
+
+    assert J_nu((), 3) == NCPoly.one() == by_permutations(J_nu, (), 3)
+
+    # no state survives the pruning: every factor of the first column vanishes
+    def zero_first(j, k):
+        return NCPoly() if j == 1 else e_k(k, 2)
+
+    assert free_algebra._signed_column_sum((2, 1, 1), zero_first) == NCPoly()
+    assert _signed_column_sum_by_permutations((2, 1, 1), zero_first) == NCPoly()
+    # flags at the bottom element leave only e_0, and the first column needs e_1 or e_2
+    assert J_flagged((1, 1), (None, None), 2) == NCPoly() == by_permutations(J_flagged, (1, 1), (None, None), 2)
 
 
 def test_jnu_builds_no_product_past_its_degree(monkeypatch):
@@ -126,6 +193,22 @@ def test_jnu_builds_no_product_past_its_degree(monkeypatch):
     monkeypatch.setattr(NCPoly, "__mul__", recording)
     assert J_nu((5,), 3).degree() == 5
     assert degrees and max(degrees) == 5
+
+
+def test_jnu_cancels_as_it_builds(monkeypatch):
+    # the permutation sum multiplies out 384 products for J_nu((7,), 3), the
+    # largest with 279,936 terms, and ends with 198 terms
+    mul = NCPoly.__mul__
+    sizes = []
+
+    def recording(self, other):
+        out = mul(self, other)
+        sizes.append(len(out.terms))
+        return out
+
+    monkeypatch.setattr(NCPoly, "__mul__", recording)
+    assert len(J_nu((7,), 3).terms) == 198
+    assert sizes and max(sizes) <= 10_000
 
 
 def test_ncpoly_arithmetic_and_text():
@@ -447,6 +530,48 @@ def test_content_spaces_match_two_sided_walk():
             assert set(space._pivots) == _pivot_columns(rows)
             checked += 1
     assert checked == 923 + 3 * (35 + 56)
+
+
+def _multiset_words_recursive(letters):
+    """The recursion multiset_words used before its next-permutation loop:
+    place each distinct letter still available, smallest first."""
+    distinct = sorted(set(letters))
+    counts = [list(letters).count(x) for x in distinct]
+    word = []
+
+    def rec(remaining):
+        if remaining == 0:
+            yield tuple(word)
+            return
+        for i, x in enumerate(distinct):
+            if counts[i]:
+                counts[i] -= 1
+                word.append(x)
+                yield from rec(remaining - 1)
+                word.pop()
+                counts[i] += 1
+
+    yield from rec(sum(counts))
+
+
+def test_multiset_words_match_recursion(monkeypatch):
+    # class ids and pivot columns follow the order of the words, so the
+    # spaces must come out identical too
+    spec = kron_ideal(3)
+    checked = 0
+    for n in range(7):
+        for codes in combinations_with_replacement(range(6), n):
+            letters = [letter_from_code(c) for c in reversed(codes)]
+            assert list(free_algebra.multiset_words(letters)) == list(_multiset_words_recursive(letters))
+            checked += 1
+            if not codes:
+                continue
+            space = free_algebra._ContentSpace(spec, codes)
+            with monkeypatch.context() as patch:
+                patch.setattr(free_algebra, "multiset_words", _multiset_words_recursive)
+                old = free_algebra._ContentSpace(spec, codes)
+            assert (space.words, space.class_of, space._pivots) == (old.words, old.class_of, old._pivots)
+    assert checked == 1 + 923
 
 
 def test_form_ids_match_normal_forms():
