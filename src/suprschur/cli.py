@@ -246,6 +246,7 @@ VERIFY_TARGETS = {
     "perp": lambda args: verify_mod.verify_perp_cyw(parse_partition(args.lam), args.d, parse_ideal(args.ideal, args.N)),
     "conjecture61": lambda args: verify_mod.verify_conjecture_jnu_kronknuth(args.N, args.max_size),
     "conversion-bijection": lambda args: verify_mod.verify_conversion_bijection(args.max_size),
+    "reading-congruence": lambda args: verify_mod.verify_reading_word_congruence(args.max_size, args.N),
 }
 
 

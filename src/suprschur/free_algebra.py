@@ -17,6 +17,10 @@ project to rows over the classes, kept in echelon form.  One reduction by
 those rows gives a canonical normal form, so membership is "every content's
 form is zero" and congruence is "equal forms"; ``form_id`` names the form
 of one word by a small int.
+
+Every two-term generator of these families swaps two adjacent letters.
+``linked_by_moves`` joins a list of words by those swaps alone, within the
+list, and so shows many words congruent without building a content space.
 """
 
 from __future__ import annotations
@@ -330,6 +334,59 @@ def generator_windows(spec: IdealSpec) -> Mapping[ColoredWord, tuple[Generator, 
     return MappingProxyType({word: tuple(gens) for word, gens in table.items()})
 
 
+@lru_cache(maxsize=None)
+def swap_moves(spec: IdealSpec) -> frozenset[tuple[ColoredWord, int]]:
+    """The two-term generators ``u - v`` whose words differ by swapping two
+    adjacent letters, as ``(window, offset)``: the window ``u`` (and ``v``)
+    with the offset of the swapped pair in it.
+
+    Read off ``binary_pairs``; a pair that is not such a swap is left out.
+    """
+    moves = set()
+    for u, v in binary_pairs(spec):
+        for k in range(len(u) - 1):
+            if u[:k] + (u[k + 1], u[k]) + u[k + 2 :] == v:
+                moves.update(((u, k), (v, k)))
+    return frozenset(moves)
+
+
+def linked_by_moves(spec: IdealSpec, words: Sequence[ColoredWord]) -> bool:
+    """Whether every word of the list is reached from the first by swaps of
+    two adjacent letters that are padded two-term generators, passing only
+    through words of the list.
+
+    If ``x`` is ``w`` with a window ``u`` replaced by ``v`` and ``u - v`` is
+    a generator, then ``w - x = left·(u - v)·right`` lies in the ideal; so
+    ``True`` means all the words are congruent.  ``False`` decides nothing.
+    Stops as soon as the last word is reached.
+    """
+    unreached = set(words)
+    unreached.discard(words[0])
+    if not unreached:
+        return True
+    moves = swap_moves(spec)
+    frontier = [words[0]]
+    while frontier:
+        w = frontier.pop()
+        n = len(w)
+        for p in range(n - 1):
+            a, b = w[p], w[p + 1]
+            if a == b:
+                continue
+            x = w[:p] + (b, a) + w[p + 2 :]
+            # the swapped pair alone, or in a triple with one letter on either side
+            if x in unreached and (
+                ((a, b), 0) in moves
+                or (p + 3 <= n and (w[p : p + 3], 0) in moves)
+                or (p and (w[p - 1 : p + 2], 1) in moves)
+            ):
+                unreached.remove(x)
+                if not unreached:
+                    return True
+                frontier.append(x)
+    return False
+
+
 def _padded_generators(
     table: Mapping[ColoredWord, tuple[Generator, ...]], w: ColoredWord
 ) -> Iterator[tuple[ColoredWord, Generator, ColoredWord]]:
@@ -451,7 +508,9 @@ class _ContentSpace:
         row = self._reduce(row)
         if row:
             lead = min(row)
-            inv = 1 / Fraction(row.pop(lead))
+            value = row.pop(lead)
+            # a lead of 1 or -1 is its own inverse, so the row stays in ints
+            inv = value if value in (1, -1) else 1 / Fraction(value)
             self._pivots[lead] = {c: v * inv for c, v in row.items()}
 
     def normal_form(self, component: dict[ColoredWord, int]) -> dict[int, Fraction]:

@@ -139,6 +139,7 @@ SMALL_VERIFY_RUNS = {
     "perp": ["--lambda", "2,1", "--d", "1"],
     "conjecture61": ["--max-size", "2"],
     "conversion-bijection": ["--max-size", "3"],
+    "reading-congruence": ["--max-size", "3"],
 }
 
 

@@ -37,11 +37,13 @@ from suprschur.free_algebra import (
     kron_ideal,
     kronknuth_ideal,
     letters_at_most,
+    linked_by_moves,
     parse_ideal,
     perp_contains,
     perp_violation,
     plac_ideal,
     rotation_triples,
+    swap_moves,
 )
 from suprschur.alphabet_words import enumerate_cyw
 from suprschur.tableaux import partitions_of
@@ -574,24 +576,28 @@ def test_multiset_words_match_recursion(monkeypatch):
     assert checked == 1 + 923
 
 
-def test_form_ids_match_normal_forms():
-    # every content of 3 to 5 letters at N=3 whose space has pivot rows, so
-    # that forms of more than one class occur
-    contents = compound = 0
+def _spaces_with_pivots():
+    """Every content of 3 to 5 letters at N=3 whose space has pivot rows, so
+    that forms of more than one class occur, as (spec, codes, space)."""
     for spec in (kron_ideal(3), kronknuth_ideal(3)):
         for codes in (c for n in (3, 4, 5) for c in combinations_with_replacement(range(6), n)):
             space = free_algebra._ContentSpace(spec, codes)
-            if not space._pivots:
-                continue
-            contents += 1
-            by_form, by_id = {}, {}
-            for word in space.words:
-                by_form.setdefault(frozenset(space.normal_form({word: 1}).items()), set()).add(word)
-                fid = space.form_id(word)
-                by_id.setdefault(fid, set()).add(word)
-                compound += fid >= space.num_classes
-            # equal ids exactly when equal forms, for every pair of words
-            assert sorted(map(sorted, by_form.values())) == sorted(map(sorted, by_id.values()))
+            if space._pivots:
+                yield spec, codes, space
+
+
+def test_form_ids_match_normal_forms():
+    contents = compound = 0
+    for _, _, space in _spaces_with_pivots():
+        contents += 1
+        by_form, by_id = {}, {}
+        for word in space.words:
+            by_form.setdefault(frozenset(space.normal_form({word: 1}).items()), set()).add(word)
+            fid = space.form_id(word)
+            by_id.setdefault(fid, set()).add(word)
+            compound += fid >= space.num_classes
+        # equal ids exactly when equal forms, for every pair of words
+        assert sorted(map(sorted, by_form.values())) == sorted(map(sorted, by_id.values()))
     assert contents >= 40 and compound > 0
     # a form of one class with a coefficient other than 1 is not that class's
     # form; none of the contents above has one, so set a pivot row by hand
@@ -601,6 +607,37 @@ def test_form_ids_match_normal_forms():
     u, v = space.words
     assert space.normal_form({u: 1}) == {1: 2} and space.normal_form({v: 1}) == {1: 1}
     assert space.form_id(u) != space.form_id(v)
+
+
+def _add_row_in_fractions(self, row):
+    """The pivot normalisation used before a lead of 1 or -1 kept its row in
+    ints: every pivot row is scaled by a ``Fraction``."""
+    row = self._reduce(row)
+    if row:
+        lead = min(row)
+        inv = 1 / Fraction(row.pop(lead))
+        self._pivots[lead] = {c: v * inv for c, v in row.items()}
+
+
+def test_integer_pivots_match_fraction_pivots(monkeypatch):
+    int_rows = 0
+    for spec, codes, space in _spaces_with_pivots():
+        with monkeypatch.context() as patch:
+            patch.setattr(free_algebra._ContentSpace, "_add_row", _add_row_in_fractions)
+            old = free_algebra._ContentSpace(spec, codes)
+        assert space._pivots == old._pivots
+        for word in space.words:
+            assert space.normal_form({word: 1}) == old.normal_form({word: 1})
+            assert space.form_id(word) == old.form_id(word)
+        int_rows += sum(all(type(v) is int for v in row.values()) for row in space._pivots.values())
+    assert int_rows > 0
+    # a lead of -1 keeps the row in ints; a lead of 2 still needs a Fraction
+    space = free_algebra._ContentSpace(kron_ideal(2), (0, 2))
+    space._add_row({0: -1, 1: 3})
+    assert space._pivots == {0: {1: -3}} and type(space._pivots[0][1]) is int
+    space._pivots = {}
+    space._add_row({0: 2, 1: 1})
+    assert space._pivots == {0: {1: Fraction(1, 2)}} and type(space._pivots[0][1]) is Fraction
 
 
 def test_column_swap_and_vanishing_memberships():
@@ -662,6 +699,134 @@ def test_reading_word_congruence_counts_contents_whatever_the_cache(monkeypatch)
     assert cold["ok"] and cold["contents"] == len(free_algebra._content_cache) > 0
     warm = verify.verify_reading_word_congruence(5, 2)
     assert warm == cold
+
+
+def _reading_word_congruence_reference(max_boxes, N):
+    """The congruence driver before it linked words by generator moves: every
+    tableau with more than one reading word consults its content space."""
+    from suprschur import verify
+    from suprschur.tableaux import restricted_shapes_in_box
+
+    order = natural_order(N)
+    top = barred(N)
+    ideal = kron_ideal(N)
+    tableaux_checked = 0
+    words_checked = 0
+    consulted = set()
+    for shape in restricted_shapes_in_box(max_boxes, max_boxes, max_boxes=max_boxes):
+        for tab in verify.enumerate_fillings(shape, order, top):
+            tableaux_checked += 1
+            words = verify.arrow_respecting_words(tab)
+            words_checked += len(words)
+            if len(words) == 1:
+                continue
+            space = content_space(ideal, tuple(sorted(words[0])))
+            consulted.add(space)
+            base = space.form_id(words[0])
+            for w in words[1:]:
+                if space.form_id(w) != base:
+                    return {"target": "reading-congruence", "ok": False, "tableau": tab.to_text(), "word": word_str(w)}
+    return {
+        "target": "reading-congruence",
+        "max_boxes": max_boxes,
+        "N": N,
+        "tableaux": tableaux_checked,
+        "words": words_checked,
+        "contents": len(consulted),
+        "ok": True,
+    }
+
+
+CONGRUENCE_SIZES = [(6, 2), (5, 3)]  # (max_boxes, N)
+
+
+@pytest.mark.parametrize("max_boxes, N", CONGRUENCE_SIZES)
+def test_moves_link_only_congruent_words(max_boxes, N):
+    from suprschur.tableaux import arrow_respecting_words, enumerate_fillings, restricted_shapes_in_box
+
+    ideal = kron_ideal(N)
+    linked = 0
+    for shape in restricted_shapes_in_box(max_boxes, max_boxes, max_boxes=max_boxes):
+        for tab in enumerate_fillings(shape, natural_order(N), barred(N)):
+            words = arrow_respecting_words(tab)
+            if len(words) > 1 and linked_by_moves(ideal, words):
+                linked += 1
+                space = content_space(ideal, tuple(sorted(words[0])))
+                assert len({space.form_id(word) for word in words}) == 1, tab.to_text()
+    assert linked > 0
+
+
+@pytest.mark.parametrize("max_boxes, N", CONGRUENCE_SIZES)
+def test_reading_word_congruence_matches_reference(max_boxes, N):
+    from suprschur import verify
+
+    report = verify.verify_reading_word_congruence(max_boxes, N)
+    reference = _reading_word_congruence_reference(max_boxes, N)
+    assert report["ok"] and [report[k] for k in ("ok", "tableaux", "words")] == [
+        reference[k] for k in ("ok", "tableaux", "words")
+    ]
+    assert 0 < report["contents"] < reference["contents"] and report["linked"] > 0
+
+
+def test_reading_word_congruence_refuses_a_non_generator_swap(monkeypatch):
+    # "1 2" and "2 1" differ by one adjacent swap that no generator makes, so
+    # a check that accepted every adjacent swap would pass the stranger
+    from suprschur import verify
+
+    arrow_respecting_words = verify.arrow_respecting_words
+    word, stranger = w("1 2"), w("2 1")
+    seen = []
+
+    def with_a_stranger(tab):
+        words = arrow_respecting_words(tab)
+        if words == [word] and not seen:
+            seen.append(tab.to_text())
+            return words + [stranger]
+        return words
+
+    monkeypatch.setattr(verify, "arrow_respecting_words", with_a_stranger)
+    report = verify.verify_reading_word_congruence(3, 2)
+    assert report == {"target": "reading-congruence", "ok": False, "tableau": seen[0], "word": "2 1"}
+    assert not _dense_membership(kron_ideal(2), 2)(NCPoly.from_word(word) - NCPoly.from_word(stranger))
+
+
+def test_swap_moves_are_the_two_term_generators(monkeypatch):
+    for N in (1, 2, 3, 4):
+        spec = kron_ideal(N)
+        expected = set()
+        for u, v in binary_pairs(spec):
+            (k,) = [k for k in range(len(u) - 1) if u[:k] + (u[k + 1], u[k]) + u[k + 2 :] == v]
+            expected |= {(u, k), (v, k)}
+        assert swap_moves(spec) == expected
+        assert len(expected) == 2 * len(binary_pairs(spec))
+    # a two-term generator that is not an adjacent swap is left out
+    not_swaps = [(w("1 2 2'"), w("2' 2 1")), (w("1 2"), w("2 2'"))]
+    monkeypatch.setattr(free_algebra, "binary_pairs", lambda spec: not_swaps)
+    assert swap_moves.__wrapped__(kron_ideal(2)) == frozenset()
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_moves_are_the_padded_two_term_generators(N):
+    # two words one adjacent swap apart are linked exactly when a padded
+    # two-term generator has them as its two words
+    spec = kron_ideal(N)
+    table = generator_windows(spec)
+    linked = 0
+    for n in (2, 3, 4):
+        for word in all_words(N, n):
+            padded = {
+                left + u + right
+                for left, gen, right in free_algebra._padded_generators(table, word)
+                if len(gen) == 2
+                for u, _ in gen
+            }
+            for p in range(n - 1):
+                other = word[:p] + (word[p + 1], word[p]) + word[p + 2 :]
+                if other != word:
+                    assert linked_by_moves(spec, [word, other]) == (other in padded)
+                    linked += other in padded
+    assert linked > 0
+    assert linked_by_moves(spec, [w("2 1")])  # one word is linked to itself
 
 
 def test_small_reading_word_expansions():
