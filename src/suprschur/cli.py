@@ -247,6 +247,8 @@ VERIFY_TARGETS = {
     "conjecture61": lambda args: verify_mod.verify_conjecture_jnu_kronknuth(args.N, args.max_size),
     "conversion-bijection": lambda args: verify_mod.verify_conversion_bijection(args.max_size),
     "reading-congruence": lambda args: verify_mod.verify_reading_word_congruence(args.max_size, args.N),
+    "fixed-point": lambda args: verify_mod.verify_insertion_fixed_point(args.N, args.max_size),
+    "nontail": lambda args: verify_mod.verify_nontail_removable(args.box, args.N),
 }
 
 

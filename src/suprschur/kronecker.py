@@ -2,8 +2,11 @@
 
 The oracle computes symmetric group characters by the Murnaghan-Nakayama
 recursion (via first-column hook lengths) and averages triple products over
-conjugacy classes.  The hook rules count colored tableaux of shape nu whose
-diagonal reading word is a colored Yamanouchi word of content lam.
+conjugacy classes.  The character table keeps each character as a row
+vector over the classes, so a coefficient is one pass over four rows: the
+class sizes and the three characters.  The hook rules count colored tableaux
+of shape nu whose diagonal reading word is a colored Yamanouchi word of
+content lam.
 
 The count is a direct fill, not a search over words.  A box's west and south
 neighbours lie on the diagonal read just before it, so filling nu diagonal by
@@ -77,14 +80,19 @@ def class_size(rho: Sequence[int]) -> int:
 
 
 class CharacterTable:
-    """Exact character table of the symmetric group on n letters."""
+    """Exact character table of the symmetric group on n letters.
+
+    Each character is one row, a tuple over the classes in the order of
+    ``partitions``; ``sizes`` holds the class sizes in the same order."""
 
     def __init__(self, n: int):
         self.n = n
         self.partitions = partitions_of(n)
-        self.class_sizes = {rho: class_size(rho) for rho in self.partitions}
+        self.sizes = tuple(class_size(rho) for rho in self.partitions)
+        self.class_sizes = dict(zip(self.partitions, self.sizes))
+        self.rows = {lam: tuple(_char(lam, rho) for rho in self.partitions) for lam in self.partitions}
         self.values = {
-            (lam, rho): _char(lam, rho) for lam in self.partitions for rho in self.partitions
+            (lam, rho): value for lam, row in self.rows.items() for rho, value in zip(self.partitions, row)
         }
 
     def chi(self, lam: Sequence[int], rho: Sequence[int]) -> int:
@@ -92,12 +100,9 @@ class CharacterTable:
 
     def check_orthogonality(self) -> bool:
         n_fact = factorial(self.n)
-        for lam in self.partitions:
-            for mu in self.partitions:
-                total = sum(
-                    self.class_sizes[rho] * self.values[(lam, rho)] * self.values[(mu, rho)]
-                    for rho in self.partitions
-                )
+        for lam, row in self.rows.items():
+            for mu, other in self.rows.items():
+                total = sum(z * a * b for z, a, b in zip(self.sizes, row, other))
                 if total != (n_fact if lam == mu else 0):
                     return False
         return True
@@ -117,10 +122,8 @@ def g_oracle(lam: Sequence[int], mu: Sequence[int], nu: Sequence[int]) -> int:
     if sum(mu) != n or sum(nu) != n:
         raise InvalidParameterError("all three partitions must have the same size")
     table = character_table(n)
-    total = sum(
-        table.class_sizes[rho] * table.chi(lam, rho) * table.chi(mu, rho) * table.chi(nu, rho)
-        for rho in table.partitions
-    )
+    rows = table.rows
+    total = sum(z * a * b * c for z, a, b, c in zip(table.sizes, rows[lam], rows[mu], rows[nu]))
     quotient, remainder = divmod(total, factorial(n))
     if remainder:
         raise ArithmeticError("character averaging did not give an integer")

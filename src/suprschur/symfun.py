@@ -1,9 +1,16 @@
 """Fundamental quasisymmetric functions, Schur expansions, and word conversion.
 
+``F`` of a weighted word set is filled per descent set.  The weights are
+summed by descent set D first; then each monomial x^e takes the sum over
+the sets D that lie inside the cut set of e, the partial sums of its nonzero
+parts without the last, since x^e occurs in F_D, once, exactly then.
+
 The Schur expansion oracle works in exactly n = degree variables, where the
 Schur polynomials of that degree are linearly independent; their monomial
 expansions come from semistandard tableau enumeration, so the oracle is
-independent of the tableau-counting route it is used to check.
+independent of the tableau-counting route it is used to check.  Once the
+symmetry check passes, a symmetric function is fixed by its coefficients on
+weakly decreasing exponents, so the peel reads and subtracts only those.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from .alphabet_words import (
     descent_set,
 )
 from .errors import InvalidParameterError, NotSymmetricError
-from .tableaux import check_partition, tableaux_with_sqread_in
+from .tableaux import check_partition, partitions_of, tableaux_with_sqread_in
 
 Exponents = tuple[int, ...]
 SymFunc = dict[tuple[int, ...], int]  # partition -> coefficient in the Schur basis
@@ -103,19 +110,49 @@ def fundamental_qsym(descents: frozenset[int], degree: int, nvars: int) -> QSymM
     return QSymMonomialVector(degree, nvars, dict(_fundamental_terms(descents, degree, nvars)))
 
 
+@lru_cache(maxsize=None)
+def _monomial_cuts(degree: int, nvars: int) -> tuple[tuple[int, tuple[Exponents, ...]], ...]:
+    """Every exponent vector of the degree in nvars variables, grouped by its
+    cut set: the partial sums of its nonzero parts without the last, as a
+    bitmask with bit p-1 for position p."""
+    groups: dict[int, list[Exponents]] = {}
+
+    def rec(prefix: Exponents, left: int, total: int, cuts: int) -> None:
+        if len(prefix) == nvars:
+            if not left:
+                groups.setdefault(cuts, []).append(prefix)
+            return
+        for part in range(left, -1, -1):
+            step = total + part
+            cut = 1 << (step - 1) if part and part < left else 0
+            rec(prefix + (part,), left - part, step, cuts | cut)
+
+    rec((), degree, 0, 0)
+    return tuple((cuts, tuple(exps)) for cuts, exps in groups.items())
+
+
 def F_of_poly(terms: Mapping[ColoredWord, int], order: ShuffleOrder, nvars: int | None = None) -> QSymMonomialVector:
     """Sum of fundamental quasisymmetric functions over the descent sets of
-    the support, with the given integer weights."""
+    the support, with the given integer weights.
+
+    The weights are summed per descent set first; x^e then takes the sum
+    over the descent sets inside its cut set."""
     lengths = {len(w) for w in terms}
     if len(lengths) > 1:
         raise InvalidParameterError("all words must have the same length")
     degree = lengths.pop() if lengths else 0
     if nvars is None:
         nvars = max(degree, 1)
-    coeffs: dict[Exponents, int] = {}
+    by_set: dict[frozenset[int], int] = {}
     for w, c in terms.items():
-        for exps, k in _fundamental_terms(descent_set(w, order), degree, nvars).items():
-            coeffs[exps] = coeffs.get(exps, 0) + c * k
+        descents = descent_set(w, order)
+        by_set[descents] = by_set.get(descents, 0) + c
+    weights = [(sum(1 << (pos - 1) for pos in descents), c) for descents, c in by_set.items() if c]
+    coeffs: dict[Exponents, int] = {}
+    for cuts, group in _monomial_cuts(degree, nvars):
+        total = sum(c for mask, c in weights if not mask & ~cuts)
+        if total:
+            coeffs.update(dict.fromkeys(group, total))
     return QSymMonomialVector(degree, nvars, coeffs)
 
 
@@ -180,27 +217,47 @@ def schur_monomials(nu: tuple[int, ...], nvars: int) -> Mapping[Exponents, int]:
     return MappingProxyType(coeffs)
 
 
+@lru_cache(maxsize=None)
+def _dominant_exponents(degree: int, nvars: int) -> tuple[Exponents, ...]:
+    """The weakly decreasing exponent vectors of the degree in nvars
+    variables: the partitions with at most nvars parts, padded with zeros."""
+    return tuple(nu + (0,) * (nvars - len(nu)) for nu in partitions_of(degree) if len(nu) <= nvars)
+
+
+@lru_cache(maxsize=None)
+def _dominant_schur_monomials(nu: tuple[int, ...], nvars: int) -> tuple[tuple[Exponents, int], ...]:
+    """The terms of schur_monomials(nu, nvars) with weakly decreasing
+    exponents, the Kostka numbers K_{nu, mu}."""
+    monomials = schur_monomials(nu, nvars)
+    return tuple((exps, monomials[exps]) for exps in _dominant_exponents(sum(nu), nvars) if exps in monomials)
+
+
 def schur_expand(vec: QSymMonomialVector) -> SymFunc:
     """Expand a symmetric monomial vector in Schur polynomials by peeling
-    dominance-leading terms; exact and unique when nvars >= degree."""
+    dominance-leading terms; exact and unique when nvars >= degree.
+
+    The symmetry check comes first.  Once it passes, the vector is fixed by
+    its coefficients on weakly decreasing exponents, so only those are read:
+    each peel takes the largest one left and subtracts the Kostka numbers of
+    its Schur polynomial on those exponents."""
     if vec.nvars < vec.degree and vec.degree > 0:
         raise InvalidParameterError("need at least as many variables as the degree")
     if not is_symmetric(vec):
         raise NotSymmetricError("vector is not symmetric")
-    residue = dict(vec.coeffs)
+    residue = {exps: c for exps in _dominant_exponents(vec.degree, vec.nvars) if (c := vec.coeffs.get(exps))}
     out: SymFunc = {}
     while residue:
-        lead = max(tuple(sorted(exps, reverse=True)) for exps in residue)
+        lead = max(residue)
         nu = tuple(part for part in lead if part)
         coeff = residue[lead]
         out[nu] = coeff
-        for exps, c in schur_monomials(nu, vec.nvars).items():
+        for exps, c in _dominant_schur_monomials(nu, vec.nvars):
             new = residue.get(exps, 0) - coeff * c
             if new:
                 residue[exps] = new
             else:
                 residue.pop(exps, None)
-    return {nu: c for nu, c in out.items() if c}
+    return out
 
 
 def schur_expand_by_tableaux(words: Iterable[ColoredWord], order: ShuffleOrder) -> SymFunc:

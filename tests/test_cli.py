@@ -140,6 +140,8 @@ SMALL_VERIFY_RUNS = {
     "conjecture61": ["--max-size", "2"],
     "conversion-bijection": ["--max-size", "3"],
     "reading-congruence": ["--max-size", "3"],
+    "fixed-point": ["--max-size", "3"],
+    "nontail": ["--box", "2"],
 }
 
 

@@ -1,4 +1,5 @@
 from itertools import permutations
+from math import factorial
 
 import pytest
 
@@ -61,6 +62,38 @@ def test_g_oracle_examples():
             assert g_oracle((4,), lam, nu) == (1 if lam == nu else 0)
     with pytest.raises(InvalidParameterError):
         g_oracle((2,), (1, 1), (3,))
+
+
+def _g_oracle_reference(lam, mu, nu):
+    """The average looked up entry by entry: one chi call per character and
+    class, with the class sizes from their dict."""
+    n = sum(lam)
+    table = character_table(n)
+    total = sum(
+        table.class_sizes[rho] * table.chi(lam, rho) * table.chi(mu, rho) * table.chi(nu, rho)
+        for rho in table.partitions
+    )
+    quotient, remainder = divmod(total, factorial(n))
+    assert not remainder
+    return quotient
+
+
+def test_g_oracle_matches_chi_reference():
+    checked = 0
+    for n in range(1, 8):
+        parts = partitions_of(n)
+        for lam in parts:
+            for mu in parts:
+                for nu in parts:
+                    assert g_oracle(lam, mu, nu) == _g_oracle_reference(lam, mu, nu), (lam, mu, nu)
+                    checked += 1
+    parts = partitions_of(8)
+    for lam in parts:
+        for d in range(8):
+            for nu in parts:
+                assert g_oracle(lam, hook(8, d), nu) == _g_oracle_reference(lam, hook(8, d), nu), (lam, d, nu)
+                checked += 1
+    assert checked == sum(len(partitions_of(n)) ** 3 for n in range(1, 8)) + 22 * 8 * 22
 
 
 def test_g_oracle_symmetry():

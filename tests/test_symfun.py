@@ -307,3 +307,130 @@ def test_F_of_poly_weights():
     nat = natural_order(1)
     vec = F_of_poly({w("1"): 2, w("1'"): -2}, nat, nvars=2)
     assert not vec.coeffs
+
+
+def _F_of_poly_reference(terms, order, nvars=None):
+    """The expansion word by word: every word adds its whole fundamental
+    quasisymmetric function, monomial by monomial."""
+    from suprschur.symfun import _fundamental_terms
+
+    lengths = {len(word) for word in terms}
+    degree = lengths.pop() if lengths else 0
+    if nvars is None:
+        nvars = max(degree, 1)
+    coeffs = {}
+    for word, c in terms.items():
+        for exps, k in _fundamental_terms(descent_set(word, order), degree, nvars).items():
+            coeffs[exps] = coeffs.get(exps, 0) + c * k
+    return QSymMonomialVector(degree, nvars, coeffs)
+
+
+def _schur_expand_reference(vec):
+    """The peel over every monomial: each step sorts every exponent vector
+    left to find the lead and subtracts the whole Schur polynomial."""
+    if vec.nvars < vec.degree and vec.degree > 0:
+        raise InvalidParameterError("need at least as many variables as the degree")
+    if not is_symmetric(vec):
+        raise NotSymmetricError("vector is not symmetric")
+    residue = dict(vec.coeffs)
+    out = {}
+    while residue:
+        lead = max(tuple(sorted(exps, reverse=True)) for exps in residue)
+        nu = tuple(part for part in lead if part)
+        coeff = residue[lead]
+        out[nu] = coeff
+        for exps, c in schur_monomials(nu, vec.nvars).items():
+            new = residue.get(exps, 0) - coeff * c
+            if new:
+                residue[exps] = new
+            else:
+                residue.pop(exps, None)
+    return {nu: c for nu, c in out.items() if c}
+
+
+def _assert_matches_references(terms, order, nvars=None):
+    vec = F_of_poly(terms, order, nvars)
+    assert vec == _F_of_poly_reference(terms, order, nvars)
+    try:
+        expected = _schur_expand_reference(vec)
+    except (InvalidParameterError, NotSymmetricError) as exc:
+        with pytest.raises(type(exc)):
+            schur_expand(vec)
+        return None
+    assert schur_expand(vec) == expected
+    return expected
+
+
+def test_F_and_schur_match_references_on_every_cyw_set():
+    checked = 0
+    for n in range(1, 7):
+        for lam in partitions_of(n):
+            for d in range(n + 1):
+                words = enumerate_cyw(lam, d)
+                for order in (natural_order(len(lam)), big_bar_order(len(lam))):
+                    expected = _assert_matches_references(dict.fromkeys(words, 1), order)
+                    assert expected == schur_expand_by_tableaux(words, order)
+                    checked += 1
+    assert checked == 2 * 164
+
+
+def test_F_and_schur_match_references_on_hook_mu_polynomials():
+    from suprschur.alphabet_words import unbarred
+    from suprschur.kronecker import hook
+    from suprschur.lascoux import compose_classes, gamma_class
+
+    for n in (3, 4):
+        for lam in partitions_of(n):
+            for d in range(n):
+                product = compose_classes(gamma_class(lam), gamma_class(hook(n, d)))
+                weighted = {tuple(unbarred(v) for v in perm): mult for perm, mult in product.items()}
+                assert _assert_matches_references(weighted, natural_order(n)) is not None
+
+
+def test_F_of_poly_cancels_inside_one_descent_set():
+    nat = natural_order(2)
+    # all three words ascend weakly, so each has the empty descent set
+    terms = {w("1 1 2"): 3, w("1 2 2"): -1, w("1 1' 2"): -2}
+    assert {descent_set(word, nat) for word in terms} == {frozenset()}
+    for nvars in (None, 2, 5):
+        vec = F_of_poly(terms, nat, nvars)
+        assert not vec and vec.coeffs == {}
+        assert vec == _F_of_poly_reference(terms, nat, nvars)
+        if vec.nvars >= vec.degree:
+            assert schur_expand(vec) == {}
+    # weights cancelling across two descent sets leave both sets' terms
+    assert F_of_poly({w("1 2"): 1, w("2 1"): -1}, nat) == _F_of_poly_reference({w("1 2"): 1, w("2 1"): -1}, nat)
+
+
+def test_F_and_schur_match_references_at_every_number_of_variables():
+    rng = random.Random(31)
+    for order in (natural_order(2), big_bar_order(2)):
+        for degree in range(0, 6):
+            words = list(all_words(2, degree))
+            for nvars in range(0, degree + 3):
+                for _ in range(3):
+                    terms = {word: rng.choice([-2, -1, 1, 3]) for word in rng.sample(words, min(len(words), 6))}
+                    _assert_matches_references(terms, order, nvars)
+                # symmetric input: every word of the degree, each once
+                _assert_matches_references(dict.fromkeys(words, 1), order, nvars)
+    # degree 0: the empty word alone, and no word at all
+    assert F_of_poly({(): 4}, natural_order(1), nvars=3).coeffs == {(0, 0, 0): 4}
+    assert schur_expand(F_of_poly({(): 4}, natural_order(1), nvars=3)) == {(): 4}
+    empty = F_of_poly({}, natural_order(1))
+    assert empty == _F_of_poly_reference({}, natural_order(1)) and not empty
+
+
+def test_schur_expand_checks_symmetry_before_peeling():
+    # right on every weakly decreasing exponent, wrong elsewhere: a peel that
+    # read only those would return s_(2) + ...; the gate must raise first
+    for degree, nvars, coeffs in (
+        (2, 2, {(2, 0): 1}),
+        (2, 2, {(2, 0): 1, (1, 1): 1}),
+        (2, 3, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 2}),
+    ):
+        vec = QSymMonomialVector(degree, nvars, coeffs)
+        assert not is_symmetric(vec)
+        with pytest.raises(NotSymmetricError):
+            schur_expand(vec)
+        with pytest.raises(NotSymmetricError):
+            _schur_expand_reference(vec)
