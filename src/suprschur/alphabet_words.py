@@ -108,11 +108,6 @@ def word_str(word: ColoredWord) -> str:
     return " ".join(str(x) for x in word)
 
 
-def word_key(word: ColoredWord) -> tuple[int, ...]:
-    """Sort key: the sequence of natural-order codes, which is the word itself."""
-    return tuple(word)
-
-
 def down_arrow(x: Letter) -> Letter | None:
     """The map fixing barred letters and sending unbarred a to barred a-1.
 
@@ -245,10 +240,11 @@ def covering_swap_path(frm: ShuffleOrder, to: ShuffleOrder) -> list[tuple[Shuffl
 
 def descent_set(word: ColoredWord, order: ShuffleOrder) -> frozenset[int]:
     """Positions i (1-based) where the word steps down, counting equal barred letters."""
+    rank = order._rank
     out = []
     for i in range(len(word) - 1):
         a, b = word[i], word[i + 1]
-        if order.rank(a) > order.rank(b) or (a == b and a.barred):
+        if rank[a] > rank[b] or (a == b and a.barred):
             out.append(i + 1)
     return frozenset(out)
 

@@ -540,29 +540,27 @@ class _ContentSpace:
         return fid
 
 
-_content_cache: dict[tuple, _ContentSpace] = {}
+# one space per ideal and content, built on first use
+_content_space = lru_cache(maxsize=None)(_ContentSpace)
 
 
 def content_space(spec: IdealSpec, content: tuple[int, ...]) -> _ContentSpace:
     """The content space of ``content`` (its sorted letter codes), built once
     per ideal and content.
 
-    The budget is checked on every lookup, cached or not, so a space built
-    under a larger budget is refused just as a fresh build would be.
+    The budget is checked against the number of words of the content before
+    every lookup, cached or not, so a space built under a larger budget is
+    refused just as a fresh build would be.
     """
     budget = monomial_budget()
-    key = (spec.key(), content)
-    space = _content_cache.get(key)
-    size = arrangement_count(content) if space is None else len(space.words)
+    size = arrangement_count(content)
     if size > budget:
         raise ResourceLimitError(
             f"content component has {size} monomials, over the budget of {budget}"
             " (raise SUPRSCHUR_BUDGET to proceed)",
             required=size,
         )
-    if space is None:
-        space = _content_cache[key] = _ContentSpace(spec, content)
-    return space
+    return _content_space(spec, content)
 
 
 def ideal_contains(spec: IdealSpec, poly: NCPoly) -> bool:
@@ -648,37 +646,31 @@ def ideal_degree_basis(spec: IdealSpec, degree: int) -> list[NCPoly]:
 # noncommutative super elementary / homogeneous / Schur functions
 
 
-def _chains(letters_desc: Sequence[Letter], k: int, step_ok) -> Iterator[ColoredWord]:
-    chain: list[Letter] = []
+@lru_cache(maxsize=None)
+def _chain_sum(k: int, letters: tuple[Letter, ...], repeat_barred: bool) -> NCPoly:
+    """Sum of the words of ``k`` letters taken in the order of ``letters``:
+    each letter comes after the one before it in the tuple, or equals it
+    when its bar is ``repeat_barred``.
 
-    def rec() -> Iterator[ColoredWord]:
-        if len(chain) == k:
-            yield tuple(chain)
-            return
-        for z in letters_desc:
-            if not chain or step_ok(chain[-1], z):
-                chain.append(z)
-                yield from rec()
-                chain.pop()
-
-    yield from rec()
-
-
-_e_cache: dict[tuple, NCPoly] = {}
+    The words are built level by level, each word with the first position
+    its next letter may take, so they come out in lexicographic order of
+    positions.
+    """
+    if k < 0:
+        return NCPoly()
+    chains: list[tuple[ColoredWord, int]] = [((), 0)]
+    for _ in range(k):
+        chains = [
+            (chain + (z,), q if z.barred == repeat_barred else q + 1)
+            for chain, start in chains
+            for q, z in enumerate(letters[start:], start)
+        ]
+    return NCPoly._wrap({chain: 1 for chain, _ in chains})
 
 
 def e_k_order(k: int, order: ShuffleOrder) -> NCPoly:
     """Sum of decreasing chains, allowing repeats only at barred letters."""
-    if k < 0:
-        return NCPoly()
-    if k == 0:
-        return NCPoly.one()
-    key = ("e", k, order.key())
-    if key not in _e_cache:
-        desc = list(reversed(order.letters))
-        step = lambda prev, z: order.lecol(z, prev)  # noqa: E731
-        _e_cache[key] = NCPoly({w: 1 for w in _chains(desc, k, step)})
-    return _e_cache[key]
+    return _chain_sum(k, order.letters[::-1], True)
 
 
 def e_k(k: int, N: int) -> NCPoly:
@@ -687,29 +679,12 @@ def e_k(k: int, N: int) -> NCPoly:
 
 def e_k_subset(k: int, letters: Iterable[Letter]) -> NCPoly:
     """Like e_k but with letters drawn from a subset, in the natural order."""
-    if k < 0:
-        return NCPoly()
-    if k == 0:
-        return NCPoly.one()
-    pool = tuple(sorted(set(letters), reverse=True))
-    key = ("eS", k, pool)
-    if key not in _e_cache:
-        step = lambda prev, z: z < prev or (z == prev and z.barred)  # noqa: E731
-        _e_cache[key] = NCPoly({w: 1 for w in _chains(pool, k, step)})
-    return _e_cache[key]
+    return _chain_sum(k, tuple(sorted(set(letters), reverse=True)), True)
 
 
 def h_k_order(k: int, order: ShuffleOrder) -> NCPoly:
     """Sum of increasing chains, allowing repeats only at unbarred letters."""
-    if k < 0:
-        return NCPoly()
-    if k == 0:
-        return NCPoly.one()
-    key = ("h", k, order.key())
-    if key not in _e_cache:
-        asc = list(order.letters)
-        _e_cache[key] = NCPoly({w: 1 for w in _chains(asc, k, order.lerow)})
-    return _e_cache[key]
+    return _chain_sum(k, order.letters, False)
 
 
 def h_k(k: int, N: int) -> NCPoly:

@@ -115,12 +115,23 @@ def character_table(n: int) -> CharacterTable:
     return CharacterTable(n)
 
 
+def _same_size(*parts: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """The arguments, lam first, as partitions of one size n >= 1; n = 0 has
+    no hook shape and no character table, so it is refused here, not later."""
+    parts = tuple(map(check_partition, parts))
+    n = sum(parts[0])
+    if not n:
+        raise InvalidParameterError("lam must be a partition of n >= 1")
+    for part in parts[1:]:
+        if sum(part) != n:
+            raise InvalidParameterError("the partitions must have the same size")
+    return parts
+
+
 def g_oracle(lam: Sequence[int], mu: Sequence[int], nu: Sequence[int]) -> int:
     """Kronecker coefficient as an averaged triple product of characters."""
-    lam, mu, nu = check_partition(lam), check_partition(mu), check_partition(nu)
+    lam, mu, nu = _same_size(lam, mu, nu)
     n = sum(lam)
-    if sum(mu) != n or sum(nu) != n:
-        raise InvalidParameterError("all three partitions must have the same size")
     table = character_table(n)
     rows = table.rows
     total = sum(z * a * b * c for z, a, b, c in zip(table.sizes, rows[lam], rows[mu], rows[nu]))
@@ -239,10 +250,8 @@ def g_hook_rule(lam: Sequence[int], d: int, nu: Sequence[int]) -> int:
     """g for (lam, hook with d boxes below the corner, nu): the number of
     colored tableaux of shape nu whose diagonal reading word is a colored
     Yamanouchi word of content lam ending in an unbarred letter."""
-    lam, nu = check_partition(lam), check_partition(nu)
+    lam, nu = _same_size(lam, nu)
     n = sum(lam)
-    if sum(nu) != n:
-        raise InvalidParameterError("lam and nu must have the same size")
     if not 0 <= d <= n - 1:
         raise InvalidParameterError(f"need 0 <= d <= {n - 1}")
     census = _sqread_shape_census(lam, d)
@@ -252,10 +261,8 @@ def g_hook_rule(lam: Sequence[int], d: int, nu: Sequence[int]) -> int:
 def g_sum_rule(lam: Sequence[int], d: int, nu: Sequence[int]) -> int:
     """The two-coefficient sum g(lam, hook(d), nu) + g(lam, hook(d-1), nu),
     counted as tableaux with diagonal reading word Yamanouchi of content lam."""
-    lam, nu = check_partition(lam), check_partition(nu)
+    lam, nu = _same_size(lam, nu)
     n = sum(lam)
-    if sum(nu) != n:
-        raise InvalidParameterError("lam and nu must have the same size")
     if not 0 <= d <= n:
         raise InvalidParameterError(f"need 0 <= d <= {n}")
     census = _sqread_shape_census(lam, d)

@@ -129,6 +129,15 @@ def test_usage_errors(capsys):
     assert main(["sqread", "--tableau", "1' 1'"]) == 2
 
 
+def test_empty_partition_is_a_usage_error(capsys):
+    code, out = run(capsys, "kron-sum", "--lambda", "", "--d", "0", "--nu", "", "--oracle-check")
+    assert code == 2 and out == ""
+    code, out = run(capsys, "kron", "--lambda", "", "--mu-hook-d", "0", "--nu", "", "--oracle-check")
+    assert code == 2 and out == ""
+    code, out = run(capsys, "kron", "--lambda", "", "--mu-hook-d", "0", "--nu", "")
+    assert code == 2 and out == ""
+
+
 # every verify target at a small scale, by the arguments it reads
 SMALL_VERIFY_RUNS = {
     "jnu": ["--max-size", "2"],

@@ -28,9 +28,11 @@ from suprschur.free_algebra import (
     congruent,
     content_space,
     e_k,
+    e_k_order,
     e_k_subset,
     generator_windows,
     h_k,
+    h_k_order,
     ideal_contains,
     ideal_degree_basis,
     jshuffle_ideal,
@@ -238,6 +240,73 @@ def test_elementary_examples():
     assert w("2' 2'") in e_k(2, 2).terms
 
 
+def _chains_reference(letters_desc, k, step_ok):
+    """The old recursive chain walk: every word of k letters from
+    ``letters_desc`` whose each step passes ``step_ok(previous, next)``."""
+    chain = []
+
+    def rec():
+        if len(chain) == k:
+            yield tuple(chain)
+            return
+        for z in letters_desc:
+            if not chain or step_ok(chain[-1], z):
+                chain.append(z)
+                yield from rec()
+                chain.pop()
+
+    yield from rec()
+
+
+def _e_k_order_reference(k, order):
+    if k < 0:
+        return NCPoly()
+    if k == 0:
+        return NCPoly.one()
+    desc = list(reversed(order.letters))
+    return NCPoly({w: 1 for w in _chains_reference(desc, k, lambda prev, z: order.lecol(z, prev))})
+
+
+def _e_k_subset_reference(k, letters):
+    if k < 0:
+        return NCPoly()
+    if k == 0:
+        return NCPoly.one()
+    pool = tuple(sorted(set(letters), reverse=True))
+    step = lambda prev, z: z < prev or (z == prev and z.barred)  # noqa: E731
+    return NCPoly({w: 1 for w in _chains_reference(pool, k, step)})
+
+
+def _h_k_order_reference(k, order):
+    if k < 0:
+        return NCPoly()
+    if k == 0:
+        return NCPoly.one()
+    return NCPoly({w: 1 for w in _chains_reference(list(order.letters), k, order.lerow)})
+
+
+def test_chain_sums_match_the_old_builders():
+    cases = 0
+    for N in (1, 2, 3):
+        letters = [letter_from_code(c) for c in range(2 * N)]
+        for k in range(-1, 7):
+            for order in (natural_order(N), big_bar_order(N)):
+                for built, reference in (
+                    (e_k_order(k, order), _e_k_order_reference(k, order)),
+                    (h_k_order(k, order), _h_k_order_reference(k, order)),
+                ):
+                    assert list(built.terms.items()) == list(reference.terms.items())
+                    cases += 1
+            for size in range(2 * N + 1):
+                for subset in combinations(letters, size):
+                    built, reference = e_k_subset(k, subset), _e_k_subset_reference(k, subset)
+                    assert list(built.terms.items()) == list(reference.terms.items())
+                    cases += 1
+            # the natural order and the full subset are one chain sum
+            assert e_k_order(k, natural_order(N)) is e_k_subset(k, letters)
+    assert cases == 768
+
+
 def test_homogeneous_examples():
     N = 2
     assert h_k(1, N) == e_k(1, N)
@@ -328,9 +397,9 @@ def test_budget_guard(monkeypatch):
 
 
 def test_budget_guard_holds_on_cached_content_space(monkeypatch):
-    # an empty cache of our own, so the first lookup below is a cold build
-    # whatever ran before
-    monkeypatch.setattr(free_algebra, "_content_cache", {})
+    # an empty cache, so the first lookup below is a cold build whatever ran
+    # before
+    free_algebra._content_space.cache_clear()
     monkeypatch.delenv("SUPRSCHUR_BUDGET", raising=False)
     kron = kron_ideal(2)
     poly = P("1 2 1 2 1 2") - P("2 1 2 1 2 1")  # content {1^3, 2^3}: 20 words
@@ -344,9 +413,9 @@ def test_budget_guard_holds_on_cached_content_space(monkeypatch):
 
     cold = refused()
     assert cold.required == 20
-    assert not free_algebra._content_cache
+    assert free_algebra._content_space.cache_info().currsize == 0
     answer = ideal_contains(kron, poly)  # default budget: builds and caches the space
-    assert len(free_algebra._content_cache) == 1
+    assert free_algebra._content_space.cache_info().currsize == 1
     cached = refused()
     assert (str(cached), cached.required) == (str(cold), cold.required)
     assert ideal_contains(kron, poly) == answer
@@ -654,7 +723,7 @@ def test_column_swap_and_vanishing_memberships():
         assert not f or ideal_contains(kron, f)
 
 
-def test_generator_table_is_read_only(monkeypatch):
+def test_generator_table_is_read_only():
     kron = kron_ideal(2)
     table = generator_windows(kron)
     assert ((w("2 2 1"), 1), (w("2 1 2"), -1)) in table[w("2 2 1")]
@@ -663,7 +732,7 @@ def test_generator_table_is_read_only(monkeypatch):
     with pytest.raises(AttributeError):
         table.clear()
     # a cold content space reads the shared table; a padded generator is a member
-    monkeypatch.setattr(free_algebra, "_content_cache", {})
+    free_algebra._content_space.cache_clear()
     assert ideal_contains(kron, P("2 2 1 1") - P("2 1 2 1"))
 
 
@@ -690,13 +759,13 @@ def test_reading_word_congruence_reports_a_failure(monkeypatch):
     assert all(dense_member(NCPoly.from_word(a) - NCPoly.from_word(b)) for a, b in added[:-1])
 
 
-def test_reading_word_congruence_counts_contents_whatever_the_cache(monkeypatch):
+def test_reading_word_congruence_counts_contents_whatever_the_cache():
     from suprschur import verify
 
-    monkeypatch.setattr(free_algebra, "_content_cache", {})
+    free_algebra._content_space.cache_clear()
     cold = verify.verify_reading_word_congruence(5, 2)
     # a cold run builds one space per content it consults
-    assert cold["ok"] and cold["contents"] == len(free_algebra._content_cache) > 0
+    assert cold["ok"] and cold["contents"] == free_algebra._content_space.cache_info().currsize > 0
     warm = verify.verify_reading_word_congruence(5, 2)
     assert warm == cold
 

@@ -124,6 +124,20 @@ def test_hook_rule_examples():
         hook(3, 3)
 
 
+def test_empty_partition_is_refused_not_answered():
+    # n = 0 has no hook shape and no character table: a usage error, neither
+    # a coefficient nor a resource limit
+    for call in (
+        lambda: g_hook_rule((), 0, ()),
+        lambda: g_sum_rule((), 0, ()),
+        lambda: g_oracle((), (), ()),
+        lambda: g_hook_rule((), 0, (1,)),
+        lambda: g_oracle((), (1,), (1,)),
+    ):
+        with pytest.raises(InvalidParameterError):
+            call()
+
+
 def _sqread_shape_census_reference(lam, d):
     """The census by insertion: every colored Yamanouchi word of content lam
     with d bars is inserted, and the fixed points sqread(P(w)) == w are
