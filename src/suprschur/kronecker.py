@@ -258,13 +258,20 @@ def g_hook_rule(lam: Sequence[int], d: int, nu: Sequence[int]) -> int:
     return census.get((nu, False), 0)
 
 
-def g_sum_rule(lam: Sequence[int], d: int, nu: Sequence[int]) -> int:
-    """The two-coefficient sum g(lam, hook(d), nu) + g(lam, hook(d-1), nu),
-    counted as tableaux with diagonal reading word Yamanouchi of content lam."""
+def _sum_triple(lam: Sequence[int], d: int, nu: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """lam and nu as partitions of one size n >= 1, with 0 <= d <= n checked:
+    the triples that the sum rule and its oracle both accept."""
     lam, nu = _same_size(lam, nu)
     n = sum(lam)
     if not 0 <= d <= n:
         raise InvalidParameterError(f"need 0 <= d <= {n}")
+    return lam, nu
+
+
+def g_sum_rule(lam: Sequence[int], d: int, nu: Sequence[int]) -> int:
+    """The two-coefficient sum g(lam, hook(d), nu) + g(lam, hook(d-1), nu),
+    counted as tableaux with diagonal reading word Yamanouchi of content lam."""
+    lam, nu = _sum_triple(lam, d, nu)
     census = _sqread_shape_census(lam, d)
     return census.get((nu, False), 0) + census.get((nu, True), 0)
 
@@ -275,7 +282,9 @@ def g_hook_oracle(lam: Sequence[int], d: int, nu: Sequence[int]) -> int:
 
 
 def g_sum_oracle(lam: Sequence[int], d: int, nu: Sequence[int]) -> int:
-    """Oracle value for the boundary-safe two-coefficient sum."""
+    """Oracle value for the boundary-safe two-coefficient sum; it refuses
+    what g_sum_rule refuses."""
+    lam, nu = _sum_triple(lam, d, nu)
     n = sum(lam)
     total = 0
     if 0 <= d <= n - 1:

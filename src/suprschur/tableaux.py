@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .alphabet_words import (
@@ -31,7 +32,17 @@ Box = tuple[int, int]
 
 
 def is_partition(parts: Sequence[int]) -> bool:
-    return all(a >= b for a, b in zip(parts, parts[1:])) and all(a > 0 for a in parts)
+    """Whether the parts weakly decrease and are all positive: in one pass,
+    since the parts of a weakly decreasing sequence are positive exactly
+    when its last part is."""
+    if not parts:
+        return True
+    prev = parts[0]
+    for part in parts:
+        if part > prev:
+            return False
+        prev = part
+    return prev > 0
 
 
 def check_partition(parts: Sequence[int]) -> tuple[int, ...]:
@@ -188,12 +199,13 @@ class ColoredTableau:
         object.__setattr__(self, "boxes", frozenset(entries))
 
     @classmethod
-    def _wrap(cls, entries: dict[Box, Letter], order: ShuffleOrder) -> "ColoredTableau":
-        """Adopt a dict of entries without copying or checking it."""
+    def _wrap(cls, entries: dict[Box, Letter], order: ShuffleOrder, boxes: frozenset[Box] | None = None) -> "ColoredTableau":
+        """Adopt a dict of entries, and its box set when the caller has it,
+        without copying or checking them."""
         tab = cls.__new__(cls)
         object.__setattr__(tab, "entries", entries)
         object.__setattr__(tab, "order", order)
-        object.__setattr__(tab, "boxes", frozenset(entries))
+        object.__setattr__(tab, "boxes", frozenset(entries) if boxes is None else boxes)
         return tab
 
     @classmethod
@@ -332,37 +344,56 @@ def tableaux_with_sqread_in(words: Iterable[ColoredWord], order: ShuffleOrder) -
     return out
 
 
-def enumerate_fillings(shape: RestrictedShape, order: ShuffleOrder, max_letter: Letter) -> Iterator[ColoredTableau]:
-    """All valid colored fillings of a shape with entries at most max_letter."""
-    boxes = sorted(shape.boxes)
+def _letter_fillings(ordered: Sequence[Box], order: ShuffleOrder, max_letter: Letter) -> Iterator[tuple[Letter, ...]]:
+    """All valid fillings of the boxes, given in lexicographic order, with
+    entries at most max_letter: each a tuple of letters in box order.
+
+    Depth first, the letters of each box in rank order, so the fillings come
+    in lexicographic order of their letter ranks.  The prefixes wait on an
+    explicit stack, and the last box extends its prefix straight into the
+    output.
+    """
+    if not ordered:
+        yield ()
+        return
     letters = tuple(x for x in order.letters if order.rank(x) <= order.rank(max_letter))
     # The letters allowed east of x and south of x.  Each is a suffix of the
     # letters in rank order, so the letters both neighbours allow are the
     # shorter of their two suffixes.
     east_of = {x: tuple(y for y in letters if order.lerow(x, y)) for x in letters}
     south_of = {x: tuple(y for y in letters if order.lecol(x, y)) for x in letters}
-    entries: dict[Box, Letter] = {}
-
-    def fill(i: int) -> Iterator[ColoredTableau]:
-        if i == len(boxes):
-            # every box is filled, so the shape needs no check
-            yield ColoredTableau._wrap(dict(entries), order)
-            return
-        r, c = boxes[i]
-        west = entries.get((r, c - 1))
-        north = entries.get((r - 1, c))
+    both = {(w, n): min(east_of[w], south_of[n], key=len) for w in letters for n in letters}
+    index = {box: i for i, box in enumerate(ordered)}
+    # per box: its west and north neighbours' indices, or None
+    neighbours = [(index.get((r, c - 1)), index.get((r - 1, c))) for r, c in ordered]
+    last = len(ordered) - 1
+    stack: list[tuple[Letter, ...]] = [()]
+    while stack:
+        prefix = stack.pop()
+        i = len(prefix)
+        west, north = neighbours[i]
         if west is None:
-            choices = letters if north is None else south_of[north]
+            choices = letters if north is None else south_of[prefix[north]]
         elif north is None:
-            choices = east_of[west]
+            choices = east_of[prefix[west]]
         else:
-            choices = min(east_of[west], south_of[north], key=len)
-        for x in choices:
-            entries[(r, c)] = x
-            yield from fill(i + 1)
-        entries.pop((r, c), None)
+            choices = both[prefix[west], prefix[north]]
+        if i == last:
+            for x in choices:
+                yield prefix + (x,)
+        else:
+            # reversed, so that the stack pops the smallest letter first
+            stack.extend([prefix + (x,) for x in reversed(choices)])
 
-    yield from fill(0)
+
+def enumerate_fillings(shape: RestrictedShape, order: ShuffleOrder, max_letter: Letter) -> Iterator[ColoredTableau]:
+    """All valid colored fillings of a shape with entries at most max_letter."""
+    ordered = _box_layout(shape.boxes)[0]
+    boxes = shape.boxes
+    wrap = ColoredTableau._wrap
+    for letters in _letter_fillings(ordered, order, max_letter):
+        # every box is filled, so the shape needs no check
+        yield wrap(dict(zip(ordered, letters)), order, boxes)
 
 
 def enumerate_tableaux(nu: Sequence[int], order: ShuffleOrder, max_letter: Letter) -> list[ColoredTableau]:
@@ -391,8 +422,12 @@ def _rectangle_meets_hook_only(boxes: frozenset[Box], r1: int, c1: int, r2: int,
     return True
 
 
+# a box set's boxes in lexicographic order, southwest masks and arrow candidates
+_Layout = tuple[tuple[Box, ...], tuple[int, ...], tuple[tuple[int, int, bool, bool], ...]]
+
+
 @lru_cache(maxsize=None)
-def _box_layout(boxes: frozenset[Box]) -> tuple[tuple[Box, ...], tuple[int, ...], tuple[tuple[int, int, bool, bool], ...]]:
+def _box_layout(boxes: frozenset[Box]) -> _Layout:
     """What the reading orders and arrows need of a box set, whatever its filling.
 
     The boxes in lexicographic order; for each, the bitmask (bit i for the
@@ -499,15 +534,34 @@ def is_arrow_respecting(tab: ColoredTableau, word: ColoredWord) -> bool:
     return place(0)
 
 
-def _reading_orders(tab: ColoredTableau) -> tuple[tuple[Box, ...], list[Letter], tuple[tuple[int, ...], ...]]:
-    """The boxes in lexicographic order, their letters, and every box order
-    compatible with the box poset and the arrows, as index tuples."""
-    ordered, southwest, candidates = _box_layout(tab.boxes)
-    letters = [tab.entries[b] for b in ordered]
+def _filling_preds(letters: Sequence[Letter], layout: _Layout) -> tuple[int, ...]:
+    """For each box of a filling, the bitmask of the boxes read before it:
+    its box set's southwest masks (from ``_box_layout``) plus the tail of
+    every arrow into it.  The letters are in box order."""
+    _, southwest, candidates = layout
     preds = list(southwest)
     for tail, head, _ in _arrow_indices(letters, candidates):
         preds[head] |= 1 << tail
-    return ordered, letters, _linear_extensions(tuple(preds))
+    return tuple(preds)
+
+
+def _filling_words(letters: Sequence[Letter], layout: _Layout) -> list[ColoredWord]:
+    """The arrow-respecting reading words of a filling, sorted, from its
+    letters in box order and its box set's ``_box_layout``."""
+    preds = _filling_preds(letters, layout)
+    orders = _linear_extensions(preds)
+    if len(orders) == 1:
+        return [tuple(map(letters.__getitem__, orders[0]))]
+    return sorted({read(letters) for read in _order_readers(preds)})
+
+
+@lru_cache(maxsize=None)
+def _order_readers(preds: tuple[int, ...]) -> tuple[itemgetter, ...]:
+    """One ``itemgetter`` per order of ``_linear_extensions(preds)``, which
+    reads a filling's letters along that order.  Only for masks with more
+    than one order: those have two or more indices, so each getter returns
+    a tuple."""
+    return tuple(itemgetter(*seq) for seq in _linear_extensions(preds))
 
 
 @lru_cache(maxsize=None)
@@ -538,13 +592,15 @@ def _linear_extensions(preds: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 def arrow_respecting_extensions(tab: ColoredTableau) -> Iterator[tuple[Box, ...]]:
     """All box orders compatible with the box poset and the arrows, in
     lexicographic order of the boxes."""
-    ordered, _, orders = _reading_orders(tab)
+    layout = _box_layout(tab.boxes)
+    ordered = layout[0]
+    orders = _linear_extensions(_filling_preds([tab.entries[b] for b in ordered], layout))
     return (tuple(map(ordered.__getitem__, seq)) for seq in orders)
 
 
 def arrow_respecting_words(tab: ColoredTableau) -> list[ColoredWord]:
-    _, letters, orders = _reading_orders(tab)
-    return sorted({tuple(map(letters.__getitem__, seq)) for seq in orders})
+    layout = _box_layout(tab.boxes)
+    return _filling_words([tab.entries[b] for b in layout[0]], layout)
 
 
 def some_arrow_respecting_word(tab: ColoredTableau) -> ColoredWord:

@@ -48,7 +48,7 @@ from suprschur.free_algebra import (
     swap_moves,
 )
 from suprschur.alphabet_words import enumerate_cyw
-from suprschur.tableaux import partitions_of
+from suprschur.tableaux import ColoredTableau, partitions_of
 
 from golden_data import JNU21_N2_TEXT
 
@@ -739,17 +739,17 @@ def test_generator_table_is_read_only():
 def test_reading_word_congruence_reports_a_failure(monkeypatch):
     from suprschur import verify
 
-    arrow_respecting_words = verify.arrow_respecting_words
+    filling_words = verify._filling_words
     added = []  # (a reading word, its reversal appended after it)
 
-    def with_a_stranger(tab):
-        words = arrow_respecting_words(tab)
+    def with_a_stranger(letters, layout):
+        words = filling_words(letters, layout)
         if len(set(words[0])) > 1:
             added.append((words[0], tuple(reversed(words[0]))))
             return words + [added[-1][1]]
         return words
 
-    monkeypatch.setattr(verify, "arrow_respecting_words", with_a_stranger)
+    monkeypatch.setattr(verify, "_filling_words", with_a_stranger)
     report = verify.verify_reading_word_congruence(3, 2)
     assert report["ok"] is False
     word, stranger = added[-1]
@@ -806,7 +806,56 @@ def _reading_word_congruence_reference(max_boxes, N):
     }
 
 
+def _reading_word_congruence_per_tableau(max_boxes, N):
+    """The congruence driver that built a tableau per filling: it links each
+    tableau's words by generator moves, then consults its content space."""
+    from suprschur.tableaux import arrow_respecting_words, enumerate_fillings, restricted_shapes_in_box
+
+    order = natural_order(N)
+    top = barred(N)
+    ideal = kron_ideal(N)
+    tableaux_checked = 0
+    words_checked = 0
+    linked = 0
+    consulted = set()
+    for shape in restricted_shapes_in_box(max_boxes, max_boxes, max_boxes=max_boxes):
+        for tab in enumerate_fillings(shape, order, top):
+            tableaux_checked += 1
+            words = arrow_respecting_words(tab)
+            words_checked += len(words)
+            if len(words) == 1:
+                continue
+            if linked_by_moves(ideal, words):
+                linked += 1
+                continue
+            space = content_space(ideal, tuple(sorted(words[0])))
+            consulted.add(space)
+            base = space.form_id(words[0])
+            for w in words[1:]:
+                if space.form_id(w) != base:
+                    return {"target": "reading-congruence", "ok": False, "tableau": tab.to_text(), "word": word_str(w)}
+    return {
+        "target": "reading-congruence",
+        "max_boxes": max_boxes,
+        "N": N,
+        "tableaux": tableaux_checked,
+        "words": words_checked,
+        "linked": linked,
+        "contents": len(consulted),
+        "ok": True,
+    }
+
+
 CONGRUENCE_SIZES = [(6, 2), (5, 3)]  # (max_boxes, N)
+
+
+@pytest.mark.parametrize("max_boxes, N", CONGRUENCE_SIZES + [(6, 3)])
+def test_reading_word_congruence_matches_per_tableau_driver(max_boxes, N):
+    from suprschur import verify
+
+    report = verify.verify_reading_word_congruence(max_boxes, N)
+    assert report == _reading_word_congruence_per_tableau(max_boxes, N)
+    assert report["ok"] and report["linked"] > 0 and report["contents"] > 0
 
 
 @pytest.mark.parametrize("max_boxes, N", CONGRUENCE_SIZES)
@@ -842,18 +891,19 @@ def test_reading_word_congruence_refuses_a_non_generator_swap(monkeypatch):
     # a check that accepted every adjacent swap would pass the stranger
     from suprschur import verify
 
-    arrow_respecting_words = verify.arrow_respecting_words
+    filling_words = verify._filling_words
     word, stranger = w("1 2"), w("2 1")
     seen = []
 
-    def with_a_stranger(tab):
-        words = arrow_respecting_words(tab)
+    def with_a_stranger(letters, layout):
+        words = filling_words(letters, layout)
         if words == [word] and not seen:
-            seen.append(tab.to_text())
+            ordered = layout[0]
+            seen.append(ColoredTableau(dict(zip(ordered, letters)), natural_order(2)).to_text())
             return words + [stranger]
         return words
 
-    monkeypatch.setattr(verify, "arrow_respecting_words", with_a_stranger)
+    monkeypatch.setattr(verify, "_filling_words", with_a_stranger)
     report = verify.verify_reading_word_congruence(3, 2)
     assert report == {"target": "reading-congruence", "ok": False, "tableau": seen[0], "word": "2 1"}
     assert not _dense_membership(kron_ideal(2), 2)(NCPoly.from_word(word) - NCPoly.from_word(stranger))

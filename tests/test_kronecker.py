@@ -124,6 +124,33 @@ def test_hook_rule_examples():
         hook(3, 3)
 
 
+def _g_sum_oracle_reference(lam, d, nu):
+    """The sum oracle that added only the terms whose d is in range."""
+    n = sum(lam)
+    total = 0
+    if 0 <= d <= n - 1:
+        total += g_oracle(lam, hook(n, d), nu)
+    if 0 <= d - 1 <= n - 1:
+        total += g_oracle(lam, hook(n, d - 1), nu)
+    return total
+
+
+def test_g_sum_oracle_refuses_what_the_rule_refuses():
+    for lam, d, nu in [((2, 1), 7, (2, 1)), ((), 0, ()), ((2, 1), -1, (2, 1)), ((2, 1), 1, (2, 2))]:
+        for function in (g_sum_rule, g_sum_oracle):
+            with pytest.raises(InvalidParameterError):
+                function(lam, d, nu)
+    checked = 0
+    for n in range(1, 8):
+        parts = partitions_of(n)
+        for lam in parts:
+            for d in range(n + 1):
+                for nu in parts:
+                    assert g_sum_oracle(lam, d, nu) == _g_sum_oracle_reference(lam, d, nu), (lam, d, nu)
+                    checked += 1
+    assert checked == sum(len(partitions_of(n)) ** 2 * (n + 1) for n in range(1, 8))
+
+
 def test_empty_partition_is_refused_not_answered():
     # n = 0 has no hook shape and no character table: a usage error, neither
     # a coefficient nor a resource limit

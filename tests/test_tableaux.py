@@ -1,5 +1,6 @@
 import random
-from itertools import combinations
+import re
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,10 +35,12 @@ from suprschur.tableaux import (
     Arrow,
     ColoredTableau,
     RestrictedShape,
+    _letter_fillings,
     _reading_predecessors,
     arrow_respecting_extensions,
     arrow_respecting_words,
     arrows,
+    check_partition,
     column_reading,
     conjugate,
     convert,
@@ -47,6 +50,7 @@ from suprschur.tableaux import (
     insert,
     inverse_rsk,
     is_arrow_respecting,
+    is_partition,
     ne_maximal_boxes,
     nontail_removable,
     ordinary_insertion_tableau,
@@ -70,6 +74,26 @@ def test_partition_helpers():
     assert conjugate(()) == ()
     assert len(partitions_of(6)) == 11
     assert partitions_of(3) == ((3,), (2, 1), (1, 1, 1))
+
+
+def _is_partition_reference(parts):
+    """The two generator-fed ``all`` calls the check used to make."""
+    return all(a >= b for a, b in zip(parts, parts[1:])) and all(a > 0 for a in parts)
+
+
+def test_is_partition_matches_reference():
+    checked = 0
+    for length in range(6):
+        for parts in product(range(-1, 5), repeat=length):
+            assert is_partition(parts) == _is_partition_reference(parts), parts
+            assert is_partition(list(parts)) == _is_partition_reference(parts), parts
+            if _is_partition_reference(parts):
+                assert check_partition(parts) == parts
+            else:
+                with pytest.raises(InvalidParameterError, match=re.escape(f"{parts} is not a partition")):
+                    check_partition(parts)
+            checked += 1
+    assert checked == sum(6**length for length in range(6))
 
 
 def test_restricted_shape_validation():
@@ -417,6 +441,24 @@ def test_arrows_and_fillings_match_reference():
     assert count == 11438 and arrowed > 1000
     assert list(enumerate_fillings(RestrictedShape(()), order, barred(3))) == [ColoredTableau({}, order)]
     assert arrows(ColoredTableau({}, order)) == frozenset()
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_letter_fillings_match_reference(N):
+    # the letter tuples, read in lexicographic box order, are the reference
+    # fillings' letters in the same order, in both orders
+    counts = []
+    for order in (natural_order(N), big_bar_order(N)):
+        top = order.letters[-1]
+        count = 0
+        for shape in restricted_shapes_in_box(5, 5, max_boxes=5):
+            ordered = sorted(shape.boxes)
+            reference = [tuple(tab[b] for b in ordered) for tab in _enumerate_fillings_reference(shape, order, top)]
+            assert list(_letter_fillings(ordered, order, top)) == reference, shape
+            count += len(reference)
+        counts.append(count)
+    assert counts == {2: [1824, 1662], 3: [11438, 10416]}[N]
+    assert list(_letter_fillings((), natural_order(N), barred(N))) == [()]
 
 
 def test_convert_examples():
