@@ -58,6 +58,22 @@ def monomial_budget() -> int:
     return int(os.environ.get("SUPRSCHUR_BUDGET", DEFAULT_BUDGET))
 
 
+def check_budget(size: int, what: str, budget: int | None = None) -> None:
+    """Refuse a component of ``size`` monomials over the budget: raise
+    ``ResourceLimitError`` with ``required`` set to the size.
+
+    The budget is ``monomial_budget()`` unless a caller that checks many
+    sizes in one run has read it once and passes it.
+    """
+    if budget is None:
+        budget = monomial_budget()
+    if size > budget:
+        raise ResourceLimitError(
+            f"{what} has {size} monomials, over the budget of {budget} (raise SUPRSCHUR_BUDGET to proceed)",
+            required=size,
+        )
+
+
 class NCPoly:
     """Finitely supported integer combination of colored words."""
 
@@ -552,14 +568,7 @@ def content_space(spec: IdealSpec, content: tuple[int, ...]) -> _ContentSpace:
     every lookup, cached or not, so a space built under a larger budget is
     refused just as a fresh build would be.
     """
-    budget = monomial_budget()
-    size = arrangement_count(content)
-    if size > budget:
-        raise ResourceLimitError(
-            f"content component has {size} monomials, over the budget of {budget}"
-            " (raise SUPRSCHUR_BUDGET to proceed)",
-            required=size,
-        )
+    check_budget(arrangement_count(content), "content component")
     return _content_space(spec, content)
 
 
@@ -620,14 +629,7 @@ def ideal_degree_basis(spec: IdealSpec, degree: int) -> list[NCPoly]:
     """
     if degree < 2:
         raise InvalidParameterError("generators start in degree 2")
-    total = (2 * spec.N) ** degree
-    budget = monomial_budget()
-    if total > budget:
-        raise ResourceLimitError(
-            f"degree component has {total} monomials, over the budget of {budget}"
-            " (raise SUPRSCHUR_BUDGET to proceed)",
-            required=total,
-        )
+    check_budget((2 * spec.N) ** degree, "degree component")
     letters = _letters(spec.N)
     out = []
     for gen in generator_polys(spec):

@@ -83,20 +83,17 @@ class CharacterTable:
     """Exact character table of the symmetric group on n letters.
 
     Each character is one row, a tuple over the classes in the order of
-    ``partitions``; ``sizes`` holds the class sizes in the same order."""
+    ``partitions``; ``sizes`` holds the class sizes in the same order, and
+    ``chi`` reads one entry off a row."""
 
     def __init__(self, n: int):
         self.n = n
         self.partitions = partitions_of(n)
         self.sizes = tuple(class_size(rho) for rho in self.partitions)
-        self.class_sizes = dict(zip(self.partitions, self.sizes))
         self.rows = {lam: tuple(_char(lam, rho) for rho in self.partitions) for lam in self.partitions}
-        self.values = {
-            (lam, rho): value for lam, row in self.rows.items() for rho, value in zip(self.partitions, row)
-        }
 
     def chi(self, lam: Sequence[int], rho: Sequence[int]) -> int:
-        return self.values[(tuple(lam), tuple(rho))]
+        return self.rows[tuple(lam)][self.partitions.index(tuple(rho))]
 
     def check_orthogonality(self) -> bool:
         n_fact = factorial(self.n)

@@ -71,9 +71,6 @@ class QSymMonomialVector:
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
-    def table(self) -> list[tuple[Exponents, int]]:
-        return sorted(self.coeffs.items(), reverse=True)
-
 
 @lru_cache(maxsize=None)
 def _fundamental_terms(descents: frozenset[int], degree: int, nvars: int) -> Mapping[Exponents, int]:
@@ -265,17 +262,6 @@ def schur_expand_by_tableaux(words: Iterable[ColoredWord], order: ShuffleOrder) 
     whose diagonal reading word lies in the set."""
     found = tableaux_with_sqread_in(words, order)
     return {nu: len(found[nu]) for nu in sorted(found, reverse=True)}
-
-
-def symfunc_str(f: SymFunc) -> str:
-    if not f:
-        return "0"
-    bits = []
-    for nu in sorted(f, reverse=True):
-        c = f[nu]
-        label = "s[" + ",".join(map(str, nu)) + "]"
-        bits.append(f"{'+' if c >= 0 else '-'}{abs(c)}*{label}")
-    return " ".join(bits)
 
 
 def symfunc_serialize(f: SymFunc) -> dict[str, int]:

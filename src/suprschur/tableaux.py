@@ -22,7 +22,7 @@ from .alphabet_words import (
     parse_word,
     word_str,
 )
-from .errors import InvalidParameterError, MalformedInputError
+from .errors import ConstructionFailureError, InvalidParameterError, MalformedInputError
 
 Box = tuple[int, int]
 
@@ -404,6 +404,12 @@ def enumerate_tableaux(nu: Sequence[int], order: ShuffleOrder, max_letter: Lette
 
 # ---------------------------------------------------------------------------
 # arrows on restricted colored tableaux (natural order)
+#
+# One model answers every question here.  Per box set, ``_box_layout`` gives
+# each box's mask of the boxes southwest of it and the pairs of boxes that
+# can carry an arrow; per filling, ``_filling_preds`` adds the arrow tails to
+# those masks.  The arrows, the northeast-maximal and nontail removable
+# boxes, and the arrow-respecting reading words are all read off the masks.
 
 
 @dataclass(frozen=True)
@@ -455,20 +461,11 @@ def _box_layout(boxes: frozenset[Box]) -> _Layout:
     return ordered, southwest, tuple(candidates)
 
 
-def _arrow_indices(letters: Sequence[Letter], candidates: Iterable[tuple[int, int, bool, bool]]) -> list[tuple[int, int, str]]:
-    """The arrows of a filling, as (tail index, head index, direction), from
-    its letters in box order and its box set's candidate pairs."""
-    out = []
-    for i, j, nw, se in candidates:
-        x = letters[i]
-        # codes are 2*(value-1) + barred, so this is value + 1 with x's bar
-        if letters[j] == x + 2:
-            if x.barred:
-                if se:
-                    out.append((i, j, "SE"))
-            elif nw:
-                out.append((j, i, "NW"))
-    return out
+def _layout_and_letters(tab: ColoredTableau) -> tuple[_Layout, list[Letter]]:
+    """The ``_box_layout`` of a tableau's box set, and its letters in the
+    layout's box order."""
+    layout = _box_layout(tab.boxes)
+    return layout, [tab.entries[b] for b in layout[0]]
 
 
 def arrows(tab: ColoredTableau) -> frozenset[Arrow]:
@@ -479,69 +476,94 @@ def arrows(tab: ColoredTableau) -> frozenset[Arrow]:
     with more than two rows carry one exactly when the shape meets them in
     the first column and last row only.  Barred letters behave dually, with
     arrows pointing southeast and the roles of rows and columns exchanged.
+
+    The arrows are read back from ``_filling_preds``: a tail is never
+    southwest of its head, so the bits of a predecessor mask outside the
+    southwest mask are the arrow tails, and an arrow points southeast
+    exactly when its tail is barred.
     """
-    ordered, _, candidates = _box_layout(tab.boxes)
-    letters = [tab.entries[b] for b in ordered]
-    return frozenset(
-        Arrow(tail=ordered[t], head=ordered[h], direction=d) for t, h, d in _arrow_indices(letters, candidates)
-    )
+    layout, letters = _layout_and_letters(tab)
+    ordered, southwest, _ = layout
+    preds = _filling_preds(letters, layout)
+    out = []
+    for head, need, sw in zip(ordered, preds, southwest):
+        tails = need & ~sw
+        for t, tail in enumerate(ordered):
+            if tails >> t & 1:
+                out.append(Arrow(tail=tail, head=head, direction="SE" if letters[t].barred else "NW"))
+    return frozenset(out)
+
+
+def _unused_bits(masks: Iterable[int], ordered: Sequence[Box]) -> list[Box]:
+    """The boxes whose bit is in none of the masks, in box order."""
+    used = 0
+    for mask in masks:
+        used |= mask
+    return [box for i, box in enumerate(ordered) if not used >> i & 1]
 
 
 def ne_maximal_boxes(tab: ColoredTableau) -> list[Box]:
-    """Boxes with no other box weakly north and weakly east of them."""
-    out = []
-    for r, c in tab.boxes:
-        if not any((r2 <= r and c2 >= c) and (r2, c2) != (r, c) for r2, c2 in tab.boxes):
-            out.append((r, c))
-    return sorted(out)
+    """Boxes with no other box weakly north and weakly east of them: the
+    boxes southwest of no other box."""
+    ordered, southwest, _ = _box_layout(tab.boxes)
+    return _unused_bits(southwest, ordered)
 
 
 def nontail_removable(tab: ColoredTableau) -> list[Box]:
-    tails = {arrow.tail for arrow in arrows(tab)}
-    return [box for box in ne_maximal_boxes(tab) if box not in tails]
-
-
-def _reading_predecessors(tab: ColoredTableau) -> dict[Box, set[Box]]:
-    preds: dict[Box, set[Box]] = {box: set() for box in tab.boxes}
-    for b1 in tab.boxes:
-        for b2 in tab.boxes:
-            if b1 != b2 and b1[0] >= b2[0] and b1[1] <= b2[1]:
-                preds[b2].add(b1)  # b1 is southwest of b2, so it is read first
-    for arrow in arrows(tab):
-        preds[arrow.head].add(arrow.tail)
-    return preds
+    """The northeast-maximal boxes that are no arrow's tail: the boxes read
+    before no other box."""
+    layout, letters = _layout_and_letters(tab)
+    return _unused_bits(_filling_preds(letters, layout), layout[0])
 
 
 def is_arrow_respecting(tab: ColoredTableau, word: ColoredWord) -> bool:
     """Whether the word can be read off the tableau in an order compatible
-    with the southwest-to-northeast box order and with every arrow."""
+    with the southwest-to-northeast box order and with every arrow.
+
+    A depth-first search over the sets of boxes read so far, as bitmasks:
+    the next letter of the word is the one at the set's size, so a set that
+    led nowhere once leads nowhere again, and each is tried once.
+    """
     if sorted(word) != sorted(tab.entries.values()):
         raise InvalidParameterError("word is not a rearrangement of the tableau entries")
-    preds = _reading_predecessors(tab)
-    read: set[Box] = set()
-
-    def place(i: int) -> bool:
-        if i == len(word):
+    layout, letters = _layout_and_letters(tab)
+    steps = [(1 << i, need, x) for i, (need, x) in enumerate(zip(_filling_preds(letters, layout), letters))]
+    full = (1 << len(letters)) - 1
+    seen = {0}
+    stack = [0]
+    while stack:
+        read = stack.pop()
+        if read == full:
             return True
-        for box in tab.boxes:
-            if box not in read and tab[box] == word[i] and preds[box] <= read:
-                read.add(box)
-                if place(i + 1):
-                    return True
-                read.remove(box)
-        return False
-
-    return place(0)
+        want = word[read.bit_count()]
+        for b, need, x in steps:
+            if x == want and not read & b and need & read == need and read | b not in seen:
+                seen.add(read | b)
+                stack.append(read | b)
+    return False
 
 
 def _filling_preds(letters: Sequence[Letter], layout: _Layout) -> tuple[int, ...]:
     """For each box of a filling, the bitmask of the boxes read before it:
     its box set's southwest masks (from ``_box_layout``) plus the tail of
-    every arrow into it.  The letters are in box order."""
+    every arrow into it.  The letters are in box order.
+
+    This is the one place that decides which candidate pairs carry an
+    arrow: the letters must be consecutive values with one bar; unbarred
+    letters point northwest, from the southeast box, and barred letters
+    southeast, from the northwest box.
+    """
     _, southwest, candidates = layout
     preds = list(southwest)
-    for tail, head, _ in _arrow_indices(letters, candidates):
-        preds[head] |= 1 << tail
+    for i, j, nw, se in candidates:
+        x = letters[i]
+        # codes are 2*(value-1) + barred, so this is value + 1 with x's bar
+        if letters[j] == x + 2:
+            if x.barred:
+                if se:
+                    preds[j] |= 1 << i
+            elif nw:
+                preds[i] |= 1 << j
     return tuple(preds)
 
 
@@ -589,18 +611,9 @@ def _linear_extensions(preds: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def arrow_respecting_extensions(tab: ColoredTableau) -> Iterator[tuple[Box, ...]]:
-    """All box orders compatible with the box poset and the arrows, in
-    lexicographic order of the boxes."""
-    layout = _box_layout(tab.boxes)
-    ordered = layout[0]
-    orders = _linear_extensions(_filling_preds([tab.entries[b] for b in ordered], layout))
-    return (tuple(map(ordered.__getitem__, seq)) for seq in orders)
-
-
 def arrow_respecting_words(tab: ColoredTableau) -> list[ColoredWord]:
-    layout = _box_layout(tab.boxes)
-    return _filling_words([tab.entries[b] for b in layout[0]], layout)
+    layout, letters = _layout_and_letters(tab)
+    return _filling_words(letters, layout)
 
 
 def some_arrow_respecting_word(tab: ColoredTableau) -> ColoredWord:
@@ -640,48 +653,14 @@ def _ribbon_components(boxes: set[Box]) -> list[set[Box]]:
     return components
 
 
-def _refill_component(component: set[Box], entries: dict[Box, Letter], b: Letter, abar: Letter) -> None:
-    """Refill one ribbon component for the swapped order, in place.
-
-    If the northeast end holds the unbarred letter, every copy of it drops to
-    the bottom of its column; otherwise every copy moves one step right in
-    its row.
-    """
-    degree = {
-        box: sum(1 for nbr in ((box[0] - 1, box[1]), (box[0] + 1, box[1]), (box[0], box[1] - 1), (box[0], box[1] + 1)) if nbr in component)
-        for box in component
-    }
-    assert all(deg <= 2 for deg in degree.values()), "letters adjacent in the order must fill a ribbon"
-    ends = [box for box, deg in degree.items() if deg <= 1]
-    ne_corner = min(ends, key=lambda box: (box[0], -box[1]))
-    if entries[ne_corner] == b:
-        columns: dict[int, list[Box]] = {}
-        for box in component:
-            columns.setdefault(box[1], []).append(box)
-        for boxes in columns.values():
-            boxes.sort()
-            has_b = any(entries[box] == b for box in boxes)
-            for box in boxes:
-                entries[box] = abar
-            if has_b:
-                entries[boxes[-1]] = b
-    else:
-        rows: dict[int, list[Box]] = {}
-        for box in component:
-            rows.setdefault(box[0], []).append(box)
-        for boxes in rows.values():
-            boxes.sort()
-            count = sum(1 for box in boxes if entries[box] == b)
-            if count:
-                assert entries[boxes[-1]] == abar, "row being shifted must end with the barred letter"
-                entries[boxes[0]] = abar
-                for box in boxes[1:]:
-                    entries[box] = b
-
-
 def _unique_refill(component: set[Box], entries: dict[Box, Letter], b: Letter, abar: Letter, target: ShuffleOrder) -> None:
-    """Refill one component with the same letter counts, compatible with the
-    target order; the filling is unique and this asserts it."""
+    """Refill one component, in place, with the same number of b's, so that
+    its rows and columns are compatible with the target order.
+
+    Raises ``MalformedInputError`` when no refill exists and
+    ``ConstructionFailureError`` when more than one does; on a valid tableau
+    the refill exists and is unique.
+    """
     boxes = sorted(component)
     want_b = sum(1 for box in boxes if entries[box] == b)
     assignment: dict[Box, Letter] = {}
@@ -709,36 +688,41 @@ def _unique_refill(component: set[Box], entries: dict[Box, Letter], b: Letter, a
             del assignment[(r, c)]
 
     fill(0, 0)
-    assert len(solutions) == 1, "ribbon refill is not unique"
+    if not solutions:
+        raise MalformedInputError(f"the ribbon {boxes} has no refill for the target order")
+    if len(solutions) > 1:
+        raise ConstructionFailureError(f"the ribbon {boxes} has {len(solutions)} refills for the target order")
     entries.update(solutions[0])
 
 
-def convert_step(tab: ColoredTableau, target: ShuffleOrder, b: Letter, abar: Letter, forward: bool = True) -> ColoredTableau:
-    """Convert across one covering swap.
+def convert_step(tab: ColoredTableau, target: ShuffleOrder, b: Letter, abar: Letter) -> ColoredTableau:
+    """Convert across one covering swap of b and a-bar, in either direction.
 
-    In the defining direction (b just below a-bar becomes a-bar just below b)
-    the two shift rules apply; the inverse swap is resolved through the
-    uniqueness of the compatible refill.
+    The boxes holding b or a-bar form ribbons.  Each connected ribbon keeps
+    its number of b's and is refilled in the one way its rows and columns
+    allow in the target order (see ``_unique_refill``).  In the defining
+    direction (b just below a-bar becomes a-bar just below b) this is
+    Haiman's shift rule: when the northeast end holds b, every b drops to the
+    bottom of its column, and otherwise every b moves one step right in its
+    row.
     """
     entries = dict(tab.entries)
     ribbon = {box for box, x in entries.items() if x == b or x == abar}
     for component in _ribbon_components(ribbon):
-        if forward:
-            _refill_component(component, entries, b, abar)
-        else:
-            _unique_refill(component, entries, b, abar, target)
+        _unique_refill(component, entries, b, abar, target)
     return ColoredTableau(entries, target)
 
 
 def convert(tab: ColoredTableau, frm: ShuffleOrder, to: ShuffleOrder) -> ColoredTableau:
-    """Haiman's ribbon-refilling bijection between colored tableaux for two orders."""
+    """Haiman's ribbon-refilling bijection between colored tableaux for two
+    orders: one ``convert_step`` per swap of ``covering_swap_path``."""
     if frm.N != to.N:
         raise InvalidParameterError("orders are over different alphabets")
     if tab.order != frm:
         raise InvalidParameterError("tableau does not carry the source order")
     result = tab
-    for before, nxt, b, abar in covering_swap_path(frm, to):
-        result = convert_step(result, nxt, b, abar, forward=before.lt(b, abar))
+    for _, nxt, b, abar in covering_swap_path(frm, to):
+        result = convert_step(result, nxt, b, abar)
     return result
 
 

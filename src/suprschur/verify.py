@@ -30,6 +30,7 @@ from .free_algebra import (
     J_augmented,
     J_nu,
     NCPoly,
+    check_budget,
     content_space,
     e_k_order,
     h_k_order,
@@ -37,6 +38,7 @@ from .free_algebra import (
     kron_ideal,
     kronknuth_ideal,
     linked_by_moves,
+    monomial_budget,
     perp_violation,
     plac_ideal,
 )
@@ -46,8 +48,7 @@ from .tableaux import (
     _box_layout,
     _filling_words,
     _letter_fillings,
-    arrow_respecting_extensions,
-    arrow_respecting_words,  # noqa: F401  (unused here; perfbench's tracer rebinds it)
+    arrow_respecting_words,
     check_partition,
     column_reading,
     convert,
@@ -233,10 +234,15 @@ def verify_reading_word_congruence(max_boxes: int, N: int) -> dict:
     by equal form ids in their content's space, and ``contents`` counts the
     distinct contents whose space was consulted: 46 at 6 boxes and N=3,
     where every tableau with more than one word would consult 726.  Neither
-    count depends on what the cache held."""
+    count depends on what the cache held.
+
+    A tableau with more words than ``monomial_budget()`` is refused before
+    its words are compared: ``ResourceLimitError`` with ``required`` set to
+    its number of words."""
     order = natural_order(N)
     top = barred(N)
     ideal = kron_ideal(N)
+    budget = monomial_budget()
     tableaux_checked = 0
     words_checked = 0
     linked = 0
@@ -250,6 +256,7 @@ def verify_reading_word_congruence(max_boxes: int, N: int) -> dict:
             words_checked += len(words)
             if len(words) == 1:
                 continue
+            check_budget(len(words), "the reading-word set of a tableau", budget)
             if linked_by_moves(ideal, words):
                 linked += 1
                 continue
@@ -339,8 +346,7 @@ def _reading_word_splits(tab: ColoredTableau, border_letters: list[Letter]) -> s
     of them when that one is barred."""
     first_barred = bool(border_letters) and border_letters[0].barred
     splits: set[tuple[ColoredWord, ColoredWord]] = set()
-    for extension in arrow_respecting_extensions(tab):
-        word = tuple(tab[b] for b in extension)
+    for word in arrow_respecting_words(tab):
         for cut in range(len(word) + 1):
             w = word[cut:]
             if first_barred:

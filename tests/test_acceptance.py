@@ -9,6 +9,7 @@ from collections import Counter
 from itertools import combinations
 
 import numpy as np
+import pytest
 
 from golden_data import CYW32_COLUMNS, CYW32_SCHUR, CYW32_TABLEAUX, CYW33_COMPONENTS
 from suprschur.alphabet_words import (
@@ -92,9 +93,9 @@ def test_criterion_03_hook_rule_matches_oracle():
     report("3 (hook rule and sum rule vs character oracle, n <= 8)", started, 120)
 
 
-def test_criterion_03_hook_rule_matches_oracle_at_9():
+@pytest.mark.parametrize("n", [9, 10])
+def test_criterion_03_hook_rule_matches_oracle_at(n):
     started = time.time()
-    n = 9
     checked = 0
     for lam in partitions_of(n):
         for nu in partitions_of(n):
@@ -103,23 +104,8 @@ def test_criterion_03_hook_rule_matches_oracle_at_9():
             for d in range(n + 1):
                 assert g_sum_rule(lam, d, nu) == g_sum_oracle(lam, d, nu), (lam, d, nu)
             checked += 2 * n + 1
-    assert checked == 30 * 30 * 19
-    report("3 (hook rule and sum rule vs character oracle, n = 9)", started, 120)
-
-
-def test_criterion_03_hook_rule_matches_oracle_at_10():
-    started = time.time()
-    n = 10
-    checked = 0
-    for lam in partitions_of(n):
-        for nu in partitions_of(n):
-            for d in range(n):
-                assert g_hook_rule(lam, d, nu) == g_hook_oracle(lam, d, nu), (lam, d, nu)
-            for d in range(n + 1):
-                assert g_sum_rule(lam, d, nu) == g_sum_oracle(lam, d, nu), (lam, d, nu)
-            checked += 2 * n + 1
-    assert checked == 42 * 42 * 21
-    report("3 (hook rule and sum rule vs character oracle, n = 10)", started, 120)
+    assert checked == {9: 30 * 30 * 19, 10: 42 * 42 * 21}[n]
+    report(f"3 (hook rule and sum rule vs character oracle, n = {n})", started, 120)
 
 
 def test_criterion_04_reading_word_expansion_membership():

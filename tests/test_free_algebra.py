@@ -770,6 +770,20 @@ def test_reading_word_congruence_counts_contents_whatever_the_cache():
     assert warm == cold
 
 
+def test_reading_word_congruence_refuses_a_tableau_over_the_budget(monkeypatch):
+    from suprschur import verify
+
+    # at 4 boxes and N=2, 10 tableaux have 3 reading words and none has more;
+    # generator swaps link them all, so no content space is ever consulted
+    monkeypatch.setenv("SUPRSCHUR_BUDGET", "2")
+    with pytest.raises(ResourceLimitError) as info:
+        verify.verify_reading_word_congruence(4, 2)
+    assert info.value.required == 3
+    monkeypatch.setenv("SUPRSCHUR_BUDGET", "3")
+    report = verify.verify_reading_word_congruence(4, 2)
+    assert report["ok"] and report["contents"] == 0
+
+
 def _reading_word_congruence_reference(max_boxes, N):
     """The congruence driver before it linked words by generator moves: every
     tableau with more than one reading word consults its content space."""

@@ -66,11 +66,11 @@ def test_g_oracle_examples():
 
 def _g_oracle_reference(lam, mu, nu):
     """The average looked up entry by entry: one chi call per character and
-    class, with the class sizes from their dict."""
+    class, with each class size from ``class_size``."""
     n = sum(lam)
     table = character_table(n)
     total = sum(
-        table.class_sizes[rho] * table.chi(lam, rho) * table.chi(mu, rho) * table.chi(nu, rho)
+        class_size(rho) * table.chi(lam, rho) * table.chi(mu, rho) * table.chi(nu, rho)
         for rho in table.partitions
     )
     quotient, remainder = divmod(total, factorial(n))

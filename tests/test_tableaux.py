@@ -30,14 +30,14 @@ from suprschur.alphabet_words import (
     parse_word,
     unbarred,
 )
-from suprschur.errors import InvalidParameterError, MalformedInputError
+from suprschur.errors import ConstructionFailureError, InvalidParameterError, MalformedInputError
 from suprschur.tableaux import (
     Arrow,
     ColoredTableau,
     RestrictedShape,
     _letter_fillings,
-    _reading_predecessors,
-    arrow_respecting_extensions,
+    _ribbon_components,
+    _unique_refill,
     arrow_respecting_words,
     arrows,
     check_partition,
@@ -338,9 +338,22 @@ def test_some_arrow_respecting_word():
             assert word in arrow_respecting_words(tab)
 
 
+def _reading_predecessors_reference(tab):
+    """For each box, the set of boxes read before it: the boxes southwest of
+    it and the tails of the arrows into it."""
+    preds = {box: set() for box in tab.boxes}
+    for b1 in tab.boxes:
+        for b2 in tab.boxes:
+            if b1 != b2 and b1[0] >= b2[0] and b1[1] <= b2[1]:
+                preds[b2].add(b1)  # b1 is southwest of b2, so it is read first
+    for arrow in _arrows_reference(tab):
+        preds[arrow.head].add(arrow.tail)
+    return preds
+
+
 def _arrow_respecting_extensions_reference(tab):
     """The recursive search the library used before its bitmask one."""
-    preds = _reading_predecessors(tab)
+    preds = _reading_predecessors_reference(tab)
     boxes = sorted(tab.boxes)
     read = []
     read_set = set()
@@ -366,13 +379,10 @@ def test_arrow_respecting_orders_match_reference():
     for shape in restricted_shapes_in_box(5, 5, max_boxes=5):
         for tab in enumerate_fillings(shape, order, barred(3)):
             count += 1
-            expected = list(_arrow_respecting_extensions_reference(tab))
-            assert list(arrow_respecting_extensions(tab)) == expected
+            expected = _arrow_respecting_extensions_reference(tab)
             assert arrow_respecting_words(tab) == sorted({tuple(tab[b] for b in seq) for seq in expected})
     assert count == 11438
-    empty = ColoredTableau({}, order)
-    assert list(arrow_respecting_extensions(empty)) == [()]
-    assert arrow_respecting_words(empty) == [()]
+    assert arrow_respecting_words(ColoredTableau({}, order)) == [()]
 
 
 def _arrows_reference(tab):
@@ -402,6 +412,36 @@ def _arrows_reference(tab):
     return frozenset(out)
 
 
+def _ne_maximal_boxes_reference(tab):
+    """Every pair of boxes compared: the boxes with no other box weakly north
+    and weakly east of them."""
+    return sorted(
+        (r, c)
+        for r, c in tab.boxes
+        if not any(r2 <= r and c2 >= c and (r2, c2) != (r, c) for r2, c2 in tab.boxes)
+    )
+
+
+def _is_arrow_respecting_reference(tab, word):
+    """The backtracking search over box sets the library used before its
+    search over bitmasks."""
+    preds = _reading_predecessors_reference(tab)
+    read = set()
+
+    def place(i):
+        if i == len(word):
+            return True
+        for box in tab.boxes:
+            if box not in read and tab[box] == word[i] and preds[box] <= read:
+                read.add(box)
+                if place(i + 1):
+                    return True
+                read.remove(box)
+        return False
+
+    return place(0)
+
+
 def _enumerate_fillings_reference(shape, order, max_letter):
     """The fill that called the order methods for every candidate letter."""
     boxes = sorted(shape.boxes)
@@ -428,8 +468,10 @@ def _enumerate_fillings_reference(shape, order, max_letter):
 
 
 def test_arrows_and_fillings_match_reference():
+    # the arrow functions read the predecessor masks; the references compare
+    # boxes pairwise and search over box sets
     order = natural_order(3)
-    count = arrowed = 0
+    count = arrowed = rejected = 0
     for shape in restricted_shapes_in_box(5, 5, max_boxes=5):
         fillings = list(enumerate_fillings(shape, order, barred(3)))
         assert fillings == list(_enumerate_fillings_reference(shape, order, barred(3)))
@@ -438,9 +480,35 @@ def test_arrows_and_fillings_match_reference():
             expected = _arrows_reference(tab)
             assert arrows(tab) == expected
             arrowed += bool(expected)
-    assert count == 11438 and arrowed > 1000
-    assert list(enumerate_fillings(RestrictedShape(()), order, barred(3))) == [ColoredTableau({}, order)]
-    assert arrows(ColoredTableau({}, order)) == frozenset()
+            ne_maximal = _ne_maximal_boxes_reference(tab)
+            assert ne_maximal_boxes(tab) == ne_maximal
+            tails = {arrow.tail for arrow in expected}
+            assert nontail_removable(tab) == [box for box in ne_maximal if box not in tails]
+            words = arrow_respecting_words(tab)
+            for word in words + [tuple(sorted(tab.entries.values())), words[0][::-1]]:
+                respecting = _is_arrow_respecting_reference(tab, word)
+                assert is_arrow_respecting(tab, word) == respecting
+                rejected += not respecting
+    assert count == 11438 and arrowed > 1000 and rejected > 1000
+    empty = ColoredTableau({}, order)
+    assert list(enumerate_fillings(RestrictedShape(()), order, barred(3))) == [empty]
+    assert arrows(empty) == frozenset()
+    assert ne_maximal_boxes(empty) == nontail_removable(empty) == []
+    assert is_arrow_respecting(empty, ())
+
+
+def test_is_arrow_respecting_on_a_grid_with_many_orders():
+    # entries r + c - 1 on a 5x5 grid carry no arrows, so every linear
+    # extension of the southwest order reads a word: far too many to list
+    grid = ColoredTableau({(r, c): unbarred(r + c - 1) for r in range(1, 6) for c in range(1, 6)}, natural_order(9))
+    assert validate_tableau(grid) and not arrows(grid)
+    word = sqread(grid)
+    assert is_arrow_respecting(grid, word)
+    # the 4 west of the northeast corner must come before the corner's 5
+    assert word[-2:] == w("4 5")
+    assert not is_arrow_respecting(grid, word[:-2] + w("5 4"))
+    # 1 sits in the northwest corner, after every box below it
+    assert not is_arrow_respecting(grid, tuple(sorted(word)))
 
 
 @pytest.mark.parametrize("N", [2, 3])
@@ -496,7 +564,7 @@ def test_convert_is_path_independent_and_bijective():
             seq[i], seq[i + 1] = hi, lo
             nxt = ShuffleOrder(tuple(seq))
             b, abar = (lo, hi) if not lo.barred else (hi, lo)
-            cur = convert_step(cur, nxt, b, abar, forward=order.lt(b, abar))
+            cur = convert_step(cur, nxt, b, abar)
             order = nxt
         return cur
 
@@ -509,6 +577,87 @@ def test_convert_is_path_independent_and_bijective():
                 forward = convert(t, bb, nat)
                 assert random_path_convert(t, bb, nat) == forward
                 assert convert(forward, nat, bb) == t
+
+
+def _refill_component_reference(component, entries, b, abar):
+    """Haiman's shift rule, which the library used for the defining direction
+    of a swap (b just below a-bar becomes a-bar just below b), in place.
+
+    If the northeast end holds the unbarred letter, every copy of it drops to
+    the bottom of its column; otherwise every copy moves one step right in
+    its row.
+    """
+    degree = {
+        box: sum(1 for nbr in ((box[0] - 1, box[1]), (box[0] + 1, box[1]), (box[0], box[1] - 1), (box[0], box[1] + 1)) if nbr in component)
+        for box in component
+    }
+    assert all(deg <= 2 for deg in degree.values()), "letters adjacent in the order must fill a ribbon"
+    ends = [box for box, deg in degree.items() if deg <= 1]
+    ne_corner = min(ends, key=lambda box: (box[0], -box[1]))
+    if entries[ne_corner] == b:
+        columns = {}
+        for box in component:
+            columns.setdefault(box[1], []).append(box)
+        for boxes in columns.values():
+            boxes.sort()
+            has_b = any(entries[box] == b for box in boxes)
+            for box in boxes:
+                entries[box] = abar
+            if has_b:
+                entries[boxes[-1]] = b
+    else:
+        rows = {}
+        for box in component:
+            rows.setdefault(box[0], []).append(box)
+        for boxes in rows.values():
+            boxes.sort()
+            count = sum(1 for box in boxes if entries[box] == b)
+            if count:
+                assert entries[boxes[-1]] == abar, "row being shifted must end with the barred letter"
+                entries[boxes[0]] = abar
+                for box in boxes[1:]:
+                    entries[box] = b
+
+
+def test_convert_step_matches_shift_rule_on_every_forward_swap():
+    # every covering swap of b just below a-bar, in every shuffle order, on
+    # every tableau of partition shape: the unique refill is the shift rule
+    steps = components = 0
+    for N, max_size in ((2, 6), (3, 5)):
+        for order in _shuffle_orders(N):
+            seq = list(order.letters)
+            for i in range(len(seq) - 1):
+                b, abar = seq[i], seq[i + 1]
+                if b.barred or not abar.barred:
+                    continue
+                seq[i], seq[i + 1] = abar, b
+                target = ShuffleOrder(tuple(seq))
+                seq[i], seq[i + 1] = b, abar
+                for n in range(1, max_size + 1):
+                    for nu in partitions_of(n):
+                        for tab in enumerate_tableaux(nu, order, order.max_letter()):
+                            steps += 1
+                            entries = dict(tab.entries)
+                            for component in _ribbon_components({box for box, x in entries.items() if x in (b, abar)}):
+                                components += 1
+                                _refill_component_reference(component, entries, b, abar)
+                            assert convert_step(tab, target, b, abar) == ColoredTableau(entries, target)
+    assert (steps, components) == (80436, 82048)
+
+
+def test_convert_refuses_a_ribbon_without_one_refill():
+    # 1' 1' is no tableau (barred letters strictly increase along rows): it
+    # has no refill in either direction
+    nat, bb = natural_order(2), big_bar_order(2)
+    for frm, to in ((nat, bb), (bb, nat)):
+        with pytest.raises(MalformedInputError, match="no refill"):
+            convert(ColoredTableau.parse("1' 1'", frm), frm, to)
+    # two boxes that do not touch, one b between them, refill either way;
+    # convert_step only passes connected ribbons, so it never sees this
+    b, abar = unbarred(1), barred(1)
+    apart = {(1, 1): b, (3, 3): abar}
+    with pytest.raises(ConstructionFailureError, match="2 refills"):
+        _unique_refill(set(apart), dict(apart), b, abar, ShuffleOrder(w("1' 1 2 2'")))
 
 
 def test_superstandard_examples():
