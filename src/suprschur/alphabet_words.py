@@ -268,17 +268,6 @@ def standardize(word: ColoredWord, order: ShuffleOrder) -> tuple[int, ...]:
     return tuple(result)
 
 
-def colored_content(word: ColoredWord, N: int | None = None) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Pair of multiplicity vectors (unbarred counts, barred counts)."""
-    if N is None:
-        N = max((x.value for x in word), default=1)
-    unb = [0] * N
-    brd = [0] * N
-    for x in word:
-        (brd if x.barred else unb)[x.value - 1] += 1
-    return tuple(unb), tuple(brd)
-
-
 def to_plain_r(word: ColoredWord) -> tuple[int, ...]:
     """Shuffle barred letters to the right, reverse them, and remove bars."""
     plain = [x.value for x in word if not x.barred]

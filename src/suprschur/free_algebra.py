@@ -6,7 +6,9 @@ word of every generator maps to the generators containing it.  A padded
 generator ``left·g·right`` meets a word exactly where one of the word's
 windows is a key of the table.  The perp test walks those instances with
 ``_padded_generators``; a content space walks each instance once, from the
-window that is the generator's first word.
+window that is the generator's first word.  For that walk the ideal's move
+table, ``_window_moves``, keeps only those first-word windows, indexed
+letter by letter, each with its two-term partners and longer generators.
 
 All four relation families preserve the colored content of a word, so the
 degree-m component of each ideal splits across contents.  A content space
@@ -17,6 +19,13 @@ project to rows over the classes, kept in echelon form.  One reduction by
 those rows gives a canonical normal form, so membership is "every content's
 form is zero" and congruence is "equal forms"; ``form_id`` names the form
 of one word by a small int.
+
+The letter map sigma: i -> (N+1-i)', i' -> N+1-i sends every generator of
+each family to plus or minus a generator (``_mirror`` checks this per
+ideal).  Applied letter by letter it then maps the space of a content c
+onto the space of sigma(c), so a space is built once per mirror orbit
+{c, sigma(c)}, for the one that sorts first; the other reads it through a
+``_MirroredSpace``.
 
 Every two-term generator of these families swaps two adjacent letters.
 ``linked_by_moves`` joins a list of words by those swaps alone, within the
@@ -30,6 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import inf
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -438,50 +448,122 @@ def multiset_words(letters: Sequence[Letter]) -> Iterator[ColoredWord]:
         word[j + 1 :] = word[:j:-1]
 
 
+Moves = tuple[tuple[ColoredWord, ...], tuple[Generator, ...]]  # (partner windows, longer generators)
+MoveTable = tuple[tuple[tuple[Moves | None, tuple[Moves | None, ...] | None] | None, ...], ...]
+
+
+@lru_cache(maxsize=None)
+def _window_moves(spec: IdealSpec, size: int) -> MoveTable:
+    """The moves of each window that is some generator's first word, in a
+    table indexed letter by letter over the codes ``range(size)``:
+    ``table[a][b]`` is None when no such window starts with ``a b``, and
+    otherwise ``(at_ab, after_ab)``, where ``at_ab`` is the moves of the
+    window ``a b`` and ``after_ab[c]`` those of ``a b c`` (None where there
+    are none, and ``after_ab`` None when no such window has three letters).
+
+    The moves of a window ``u`` are the other words ``v`` of its two-term
+    generators ``u - v`` and its generators of three or more terms, each in
+    the order of ``generator_windows``; every generator has degree 2 or 3.
+    A content space walks every padded generator from its first word, so
+    these are the only windows it looks up, by two or three list indexings
+    instead of a slice and a hash.  ``size`` is ``2N``, or more for a content
+    with letters outside the ideal's alphabet: those letters are in no
+    generator, so their rows are empty.  Cached, and read-only all the way
+    down.
+    """
+    moves: dict[ColoredWord, Moves] = {}
+    for window, gens in generator_windows(spec).items():
+        mine = [gen for gen in gens if gen[0][0] == window]
+        if mine:
+            partners = tuple(gen[1][0] for gen in mine if len(gen) == 2)
+            moves[window] = (partners, tuple(gen for gen in mine if len(gen) != 2))
+    codes = range(size)
+
+    def entry(a: int, b: int):
+        if not any(window[:2] == (a, b) for window in moves):
+            return None
+        after = tuple(moves.get((a, b, c)) for c in codes)
+        return moves.get((a, b)), (after if any(after) else None)
+
+    return tuple(tuple(entry(a, b) for b in codes) for a in codes)
+
+
+@lru_cache(maxsize=None)
+def _mirror(spec: IdealSpec) -> tuple[Letter, ...] | None:
+    """The letter map sigma: code c to 2N-1-c, that is i to (N+1-i)' and i'
+    to N+1-i, as a tuple indexed by code, if it sends every generator of the
+    ideal to plus or minus a generator; otherwise None.
+
+    sigma is an involution that reverses the natural order.  Applied letter
+    by letter it is an automorphism of the free algebra, so when it permutes
+    the generators up to sign it maps the ideal onto itself, and the content
+    space of c, word by word, onto the content space of sigma(c).
+    """
+    top = 2 * spec.N - 1
+    mirror = tuple(letter_from_code(top - c) for c in range(top + 1))
+    polys = generator_polys(spec)
+    gens = {frozenset(poly.terms.items()) for poly in polys}
+    for poly in polys:
+        image = [(tuple([mirror[x] for x in w]), c) for w, c in poly.terms.items()]
+        if frozenset(image) not in gens and frozenset((w, -c) for w, c in image) not in gens:
+            return None
+    return mirror
+
+
 class _ContentSpace:
-    """Exact model of one content component of U modulo an ideal."""
+    """Exact model of one content component of U modulo an ideal.
+
+    ``words`` are the content's words in lexicographic order; ``class_of``
+    gives each word its class under the two-term generators, the classes
+    numbered in the order of their first words; ``_pivots`` holds the
+    longer generators' rows over those classes in echelon form.  The
+    union-find runs on a flat parent list, and each word's windows are
+    looked up once each in the ideal's ``_window_moves``.
+    """
 
     def __init__(self, spec: IdealSpec, codes: tuple[int, ...]):
         letters = [letter_from_code(c) for c in codes]
-        self.words = list(multiset_words(letters))
-        self.index = {w: i for i, w in enumerate(self.words)}
-        parent = list(range(len(self.words)))
-
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        def union(a: int, b: int) -> None:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
+        self.words = words = list(multiset_words(letters))
+        self.index = index = {w: i for i, w in enumerate(words)}
+        parent = list(range(len(words)))
 
         # Walk each padded generator once, from its first word: a window that
         # is a generator's first word pads it to an instance, and any other
         # window of a generator is met again as that instance's first word.
-        generators_at = generator_windows(spec).get
-        index = self.index
+        table = _window_moves(spec, max(2 * spec.N, max(codes, default=-1) + 1))
         n = len(codes)
-        # every generator has degree 2 or 3
-        spans = [(i, j) for i in range(n - 1) for j in range(i + 2, min(i + 3, n) + 1)]
         longer = []  # padded generators of three or more terms, as (left, g, right)
-        for w in self.words:
-            for i, j in spans:
-                window = w[i:j]
-                for gen in generators_at(window, ()):
-                    if gen[0][0] != window:
+        for a, w in enumerate(words):
+            for i in range(n - 1):
+                entry = table[w[i]][w[i + 1]]
+                if entry is None:
+                    continue
+                at, after = entry
+                for j, moves in ((i + 2, at), (i + 3, after[w[i + 2]] if after and i + 2 < n else None)):
+                    if moves is None:
                         continue
-                    if len(gen) == 2:  # u - v: the two padded words are one class
-                        union(index[w], index[w[:i] + gen[1][0] + w[j:]])
-                    else:
-                        longer.append((w[:i], gen, w[j:]))
+                    partners, gens = moves
+                    left, right = w[:i], w[j:]
+                    for v in partners:  # u - v: the two padded words are one class
+                        ra, rb = a, index[left + v + right]
+                        while parent[ra] != ra:
+                            parent[ra] = ra = parent[parent[ra]]
+                        while parent[rb] != rb:
+                            parent[rb] = rb = parent[parent[rb]]
+                        if ra < rb:
+                            parent[rb] = ra
+                        elif rb < ra:
+                            parent[ra] = rb
+                    for gen in gens:
+                        longer.append((left, gen, right))
+        # classes are numbered by their first word, whatever the union order
         roots: dict[int, int] = {}
-        self.class_of = []
-        for i in range(len(self.words)):
-            root = find(i)
-            self.class_of.append(roots.setdefault(root, len(roots)))
+        self.class_of = class_of = []
+        for a in range(len(words)):
+            r = a
+            while parent[r] != r:
+                parent[r] = r = parent[parent[r]]
+            class_of.append(roots.setdefault(r, len(roots)))
         self.num_classes = len(roots)
 
         # pivot column -> the rest of its row; the pivot entry itself is 1
@@ -556,17 +638,64 @@ class _ContentSpace:
         return fid
 
 
-# one space per ideal and content, built on first use
-_content_space = lru_cache(maxsize=None)(_ContentSpace)
+class _MirroredSpace:
+    """The content space of c read through the space of sigma(c), where
+    sigma is the ideal's ``_mirror`` and sigma(c) sorts before c.
+
+    Each word is mapped letter by letter before it is looked up, so a
+    combination is zero, and two words have equal forms, exactly when their
+    images do there.  The forms themselves are in the numbering of sigma(c)'s
+    classes, not in the numbering a direct build of c would give.
+    """
+
+    __slots__ = ("_space", "_mirror")
+
+    def __init__(self, space: _ContentSpace, mirror: tuple[Letter, ...]):
+        self._space = space
+        self._mirror = mirror
+
+    def normal_form(self, component: dict[ColoredWord, int]) -> dict[int, Fraction]:
+        m = self._mirror
+        return self._space.normal_form({tuple([m[x] for x in w]): c for w, c in component.items()})
+
+    def form_id(self, w: ColoredWord) -> int:
+        m = self._mirror
+        return self._space.form_id(tuple([m[x] for x in w]))
 
 
-def content_space(spec: IdealSpec, content: tuple[int, ...]) -> _ContentSpace:
-    """The content space of ``content`` (its sorted letter codes), built once
-    per ideal and content.
+# one build per ideal and mirror orbit of contents ...
+_built_space = lru_cache(maxsize=None)(_ContentSpace)
+
+
+# ... and one space, built or mirrored, per ideal and content
+@lru_cache(maxsize=None)
+def _content_space(spec: IdealSpec, content: tuple[int, ...]) -> _ContentSpace | _MirroredSpace:
+    mirror = _mirror(spec)
+    if mirror is not None and all(c < len(mirror) for c in content):
+        image = tuple(sorted([mirror[c] for c in content]))
+        if image < content:
+            return _MirroredSpace(_built_space(spec, image), mirror)
+    return _built_space(spec, content)
+
+
+def content_space(spec: IdealSpec, content: tuple[int, ...]) -> _ContentSpace | _MirroredSpace:
+    """The content space of ``content`` (its sorted letter codes).
+
+    A content is built once per ideal and mirror orbit: when the ideal's
+    ``_mirror`` sigma exists and sigma(content) sorts before the content,
+    the space is a ``_MirroredSpace`` over the build of sigma(content);
+    otherwise it is built itself.  That is always so when sigma is None, and
+    for a content with a letter outside the ideal's alphabet, where sigma is
+    not defined.  Callers use only two things of a space: whether a normal
+    form is empty (``ideal_contains``) and whether two words of the one
+    content have equal forms (``form_id``).  Forms of different contents are
+    never compared, and a mirrored form is in its representative's
+    numbering.
 
     The budget is checked against the number of words of the content before
     every lookup, cached or not, so a space built under a larger budget is
-    refused just as a fresh build would be.
+    refused just as a fresh build would be.  A content and its mirror image
+    have the same number of words.
     """
     check_budget(arrangement_count(content), "content component")
     return _content_space(spec, content)
@@ -670,6 +799,13 @@ def _chain_sum(k: int, letters: tuple[Letter, ...], repeat_barred: bool) -> NCPo
     return NCPoly._wrap({chain: 1 for chain, _ in chains})
 
 
+def _longest_chain(letters: Sequence[Letter], repeat_barred: bool) -> float:
+    """The largest ``k`` for which ``_chain_sum(k, letters, repeat_barred)``
+    has a word, found without building any: every letter once, or no bound
+    when some letter may repeat.  Every ``k`` from 0 to it has words."""
+    return inf if any(z.barred == repeat_barred for z in letters) else len(letters)
+
+
 def e_k_order(k: int, order: ShuffleOrder) -> NCPoly:
     """Sum of decreasing chains, allowing repeats only at barred letters."""
     return _chain_sum(k, order.letters[::-1], True)
@@ -689,10 +825,6 @@ def h_k_order(k: int, order: ShuffleOrder) -> NCPoly:
     return _chain_sum(k, order.letters, False)
 
 
-def h_k(k: int, N: int) -> NCPoly:
-    return h_k_order(k, natural_order(N))
-
-
 def J_nu(nu: Sequence[int], N: int, order: ShuffleOrder | None = None) -> NCPoly:
     """Noncommutative super Schur function via the signed sum over column sets."""
     from .tableaux import check_partition, conjugate
@@ -700,53 +832,62 @@ def J_nu(nu: Sequence[int], N: int, order: ShuffleOrder | None = None) -> NCPoly
     nu = check_partition(nu) if nu else ()
     if order is None:
         order = natural_order(N)
-    return _signed_column_sum(conjugate(nu), lambda j, k: e_k_order(k, order))
+    depths = conjugate(nu)
+    longest = _longest_chain(order.letters, True)
+    return _signed_column_sum(depths, lambda j, k: e_k_order(k, order), [longest] * len(depths))
 
 
-def _signed_column_sum(depths: Sequence[int], column: Callable[[int, int], NCPoly]) -> NCPoly:
+def _signed_column_sum(
+    depths: Sequence[int], column: Callable[[int, int], NCPoly], longest: Sequence[float]
+) -> NCPoly:
     """The determinant-style sum over permutations pi of 1..t of
     sign(pi) * column(1, k_1) * ... * column(t, k_t), where
-    k_j = depths[j - 1] + pi(j) - j.
+    k_j = depths[j - 1] + pi(j) - j.  ``column(j, k)`` is nonzero exactly
+    when 0 <= k <= longest[j - 1], which is read without building it.
 
-    The sum is built column by column, left to right, from the t x t table
-    of column factors.  After j columns a state is the set of row offsets
-    pi(1), ..., pi(j) used so far, as a bitmask, and it holds the signed sum
-    of the products of the first j factors over those choices.  Appending
-    offset p to a state multiplies it on the right by column j+1's factor at
-    p, with sign (-1)^m, where m is the number of used offsets above p: the
-    inversions that p closes.  The state of all t offsets is the sum.
-    Partial sums meet at a state and cancel there, before any later factor
-    is multiplied in.
+    The sum is built column by column, left to right.  After j columns a
+    state is the set of row offsets pi(1), ..., pi(j) used so far, as a
+    bitmask, and it holds the signed sum of the products of the first j
+    factors over those choices.  Appending offset p to a state multiplies it
+    on the right by column j+1's factor at p, with sign (-1)^m, where m is
+    the number of used offsets above p: the inversions that p closes.  The
+    state of all t offsets is the sum.  Partial sums meet at a state and
+    cancel there, before any later factor is multiplied in.
 
     A state is kept only if the columns still to come can be given the
     unused offsets with every factor nonzero.  One backward pass over the
-    2^t masks decides this per table.  Without it, a state whose every
-    completion hits a zero factor is still carried to the end, and its
-    products can have degree above sum(depths): the shifts pi(j) - j sum to
-    zero, so a prefix that skips low offsets reaches higher k.  With it,
-    every product built is a prefix of a surviving permutation.
+    2^t masks decides this per sum, from ``longest`` alone.  Without it, a
+    state whose every completion hits a zero factor is still carried to the
+    end, and its products can have degree above sum(depths): the shifts
+    pi(j) - j sum to zero, so a prefix that skips low offsets reaches higher
+    k.  With it, every product built is a prefix of a surviving permutation,
+    and a column's factor is built only when a kept state first uses it.
     """
     t = len(depths)
-    table = [[column(j, depths[j - 1] + p - j) for p in range(1, t + 1)] for j in range(1, t + 1)]
+    live = [[0 <= depths[j - 1] + p - j <= longest[j - 1] for p in range(1, t + 1)] for j in range(1, t + 1)]
     full = (1 << t) - 1
     # completes[mask]: the columns from popcount(mask) on can take the unused offsets
     completes = [False] * (full + 1)
     completes[full] = True
     for mask in range(full - 1, -1, -1):
-        row = table[mask.bit_count()]
+        row = live[mask.bit_count()]
         completes[mask] = any(
             not mask >> p & 1 and row[p] and completes[mask | 1 << p] for p in range(t)
         )
     if not completes[0]:
         return NCPoly()
     states = {0: NCPoly.one()}
-    for row in table:
+    for j, row in enumerate(live, start=1):
+        factors: dict[int, NCPoly] = {}  # offset -> this column's factor, built on first use
         sums: dict[int, dict[ColoredWord, int]] = {}
         for mask, partial in states.items():
-            for p, factor in enumerate(row):
+            for p, alive in enumerate(row):
                 bit = 1 << p
-                if mask & bit or not factor or not completes[mask | bit]:
+                if mask & bit or not alive or not completes[mask | bit]:
                     continue
+                factor = factors.get(p)
+                if factor is None:
+                    factor = factors[p] = column(j, depths[j - 1] + p + 1 - j)
                 total = sums.setdefault(mask | bit, {})
                 sign = -1 if (mask >> p).bit_count() % 2 else 1
                 # the empty state's partial sum is 1, so its products are the factors
@@ -788,7 +929,8 @@ def J_augmented(
             factor = factor * NCPoly.from_word(inserts[j - 1])
         return factor
 
-    return _signed_column_sum(alpha, column)
+    # an insert word multiplies a nonzero factor to a nonzero one
+    return _signed_column_sum(alpha, column, [_longest_chain(pool, True) for pool in pools])
 
 
 def J_flagged(alpha: Sequence[int], flags: Sequence[FlagValue], N: int) -> NCPoly:

@@ -84,23 +84,3 @@ def knuth_class_analysis(multiset: Mapping[Perm, int]) -> dict:
             }
         )
     return {"is_union": is_union, "classes": classes}
-
-
-def shape_counts(multiset: Mapping[Perm, int]) -> Counter:
-    """Number of full multiplicity-one Knuth classes per insertion shape."""
-    report = knuth_class_analysis(multiset)
-    counts: Counter = Counter()
-    for cls in report["classes"]:
-        counts[cls["shape"]] += 1
-    return counts
-
-
-def standardized_cyw(lam: Sequence[int], d: int) -> PermMultiset:
-    """Standardizations (in the natural order) of the colored Yamanouchi words."""
-    from .alphabet_words import enumerate_cyw, natural_order, standardize
-
-    order = natural_order(max(len(check_partition(lam)), 1))
-    out: PermMultiset = Counter()
-    for w in enumerate_cyw(tuple(lam), d):
-        out[standardize(w, order)] += 1
-    return out

@@ -73,41 +73,6 @@ class QSymMonomialVector:
 
 
 @lru_cache(maxsize=None)
-def _fundamental_terms(descents: frozenset[int], degree: int, nvars: int) -> Mapping[Exponents, int]:
-    """The monomials of a fundamental quasisymmetric function with their
-    coefficients, read-only, so the cache can hand it to every caller."""
-    if any(not 1 <= pos <= degree - 1 for pos in descents):
-        raise InvalidParameterError("descents must lie between 1 and degree-1")
-    coeffs: dict[Exponents, int] = {}
-    indices = [0] * degree
-
-    def rec(pos: int) -> None:
-        if pos == degree:
-            exps = [0] * nvars
-            for i in indices:
-                exps[i] += 1
-            key = tuple(exps)
-            coeffs[key] = coeffs.get(key, 0) + 1
-            return
-        lo = 0 if pos == 0 else indices[pos - 1] + (1 if pos in descents else 0)
-        for i in range(lo, nvars):
-            indices[pos] = i
-            rec(pos + 1)
-
-    rec(0)
-    return MappingProxyType(coeffs)
-
-
-def fundamental_qsym(descents: frozenset[int], degree: int, nvars: int) -> QSymMonomialVector:
-    """Gessel's fundamental quasisymmetric function for a descent set.
-
-    Sums x_{i_1}...x_{i_t} over weakly increasing index sequences that step
-    strictly at every descent position.  Each call returns a fresh vector.
-    """
-    return QSymMonomialVector(degree, nvars, dict(_fundamental_terms(descents, degree, nvars)))
-
-
-@lru_cache(maxsize=None)
 def _monomial_cuts(degree: int, nvars: int) -> tuple[tuple[int, tuple[Exponents, ...]], ...]:
     """Every exponent vector of the degree in nvars variables, grouped by its
     cut set: the partial sums of its nonzero parts without the last, as a

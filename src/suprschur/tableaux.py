@@ -715,11 +715,18 @@ def convert_step(tab: ColoredTableau, target: ShuffleOrder, b: Letter, abar: Let
 
 def convert(tab: ColoredTableau, frm: ShuffleOrder, to: ShuffleOrder) -> ColoredTableau:
     """Haiman's ribbon-refilling bijection between colored tableaux for two
-    orders: one ``convert_step`` per swap of ``covering_swap_path``."""
+    orders: one ``convert_step`` per swap of ``covering_swap_path``.
+
+    The input is checked once, before the first step: a filling that is not
+    a tableau for ``frm`` raises ``MalformedInputError``, even where its
+    ribbons would refill.  The steps map tableaux to tableaux.
+    """
     if frm.N != to.N:
         raise InvalidParameterError("orders are over different alphabets")
     if tab.order != frm:
         raise InvalidParameterError("tableau does not carry the source order")
+    if not validate_tableau(tab):
+        raise MalformedInputError(f"not a tableau in the source order: {' / '.join(tab.to_text().splitlines())}")
     result = tab
     for _, nxt, b, abar in covering_swap_path(frm, to):
         result = convert_step(result, nxt, b, abar)

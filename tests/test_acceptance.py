@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from golden_data import CYW32_COLUMNS, CYW32_SCHUR, CYW32_TABLEAUX, CYW33_COMPONENTS
+from helpers import shape_counts
 from suprschur.alphabet_words import (
     ShuffleOrder,
     all_words,
@@ -27,7 +28,7 @@ from suprschur.free_algebra import (
     plac_ideal,
 )
 from suprschur.kronecker import g_hook_oracle, g_hook_rule, g_sum_oracle, g_sum_rule, hook
-from suprschur.lascoux import compose_classes, gamma_class, knuth_class_analysis, shape_counts
+from suprschur.lascoux import compose_classes, gamma_class, knuth_class_analysis
 from suprschur.switchboard import build_cyw_switchboard, component_schur, components
 from suprschur.symfun import F_of_set, schur_expand, schur_expand_by_tableaux, word_convert_step
 from suprschur.tableaux import ColoredTableau, partitions_of, sqread

@@ -12,7 +12,6 @@ from suprschur.alphabet_words import (
     all_words,
     barred,
     big_bar_order,
-    colored_content,
     covering_swap_path,
     descent_set,
     double_down,
@@ -161,6 +160,15 @@ def test_standardize_examples():
     assert standardize(w("2 1' 2' 1 2' 1' 2 1"), natural_order(2)) == (5, 4, 8, 1, 7, 3, 6, 2)
     assert standardize(w("1 2 3"), natural_order(3)) == (1, 2, 3)
     assert standardize(w("1' 1'"), natural_order(1)) == (2, 1)
+
+
+def colored_content(word, N):
+    """Pair of multiplicity vectors (unbarred counts, barred counts)."""
+    unb = [0] * N
+    brd = [0] * N
+    for x in word:
+        (brd if x.barred else unb)[x.value - 1] += 1
+    return tuple(unb), tuple(brd)
 
 
 def test_standardize_is_injective_on_each_content():

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
+from math import inf
 
 import pytest
 
@@ -31,7 +32,6 @@ from suprschur.free_algebra import (
     e_k_order,
     e_k_subset,
     generator_windows,
-    h_k,
     h_k_order,
     ideal_contains,
     ideal_degree_basis,
@@ -68,9 +68,10 @@ def test_jnu_text_is_unchanged():
     assert NCPoly.from_text(JNU21_N2_TEXT) == J_nu((2, 1), 2)
 
 
-def _signed_column_sum_reference(depths, column):
+def _signed_column_sum_reference(depths, column, longest=None):
     """The loop the library used before its factor table: every permutation
-    multiplied factor by factor, stopping at the first zero factor."""
+    multiplied factor by factor, stopping at the first zero factor.  It
+    decides zero by building each factor, so ``longest`` is not used."""
     total = NCPoly()
     for pi in permutations(range(1, len(depths) + 1)):
         term = NCPoly.one()
@@ -103,10 +104,11 @@ def _permutation_sign(pi):
     return sign
 
 
-def _signed_column_sum_by_permutations(depths, column):
+def _signed_column_sum_by_permutations(depths, column, longest=None):
     """The sum the library built before it went column by column: the table
     of column factors is built once, and every permutation whose factors are
-    all nonzero is multiplied out in full."""
+    all nonzero is multiplied out in full.  It decides zero by building each
+    factor, so ``longest`` is not used."""
     t = len(depths)
     table = [[column(j, depths[j - 1] + p - j) for p in range(1, t + 1)] for j in range(1, t + 1)]
     total = {}
@@ -177,10 +179,67 @@ def test_column_sum_edge_cases(monkeypatch):
     def zero_first(j, k):
         return NCPoly() if j == 1 else e_k(k, 2)
 
-    assert free_algebra._signed_column_sum((2, 1, 1), zero_first) == NCPoly()
+    assert free_algebra._signed_column_sum((2, 1, 1), zero_first, (-1, inf, inf)) == NCPoly()
     assert _signed_column_sum_by_permutations((2, 1, 1), zero_first) == NCPoly()
     # flags at the bottom element leave only e_0, and the first column needs e_1 or e_2
     assert J_flagged((1, 1), (None, None), 2) == NCPoly() == by_permutations(J_flagged, (1, 1), (None, None), 2)
+
+
+def test_longest_chain_matches_the_chain_sum():
+    letters = [letter_from_code(c) for c in range(6)]
+    cases = 0
+    for size in range(7):
+        for subset in combinations(letters, size):
+            for k in range(-1, 8):
+                for repeat_barred in (True, False):
+                    chain = free_algebra._chain_sum(k, subset, repeat_barred)
+                    assert (0 <= k <= free_algebra._longest_chain(subset, repeat_barred)) == bool(chain)
+                    cases += 1
+    assert cases == 64 * 9 * 2
+
+
+def test_column_sum_builds_only_factors_of_surviving_permutations(monkeypatch):
+    # a factor is built only when a kept state uses it, and every kept state
+    # is a prefix of a permutation whose factors are all nonzero
+    from suprschur import verify
+
+    cases = set()
+
+    def recording(alpha, flags, inserts, N):
+        cases.add((tuple(alpha), tuple(flags), tuple(inserts), N))
+        return J_augmented(alpha, flags, inserts, N)
+
+    monkeypatch.setattr(verify, "J_augmented", recording)
+    assert verify.verify_flagged(N=2, max_alpha_weight=3, box=3)["ok"]
+    monkeypatch.undo()
+    column_sum = free_algebra._signed_column_sum
+    unbuilt = []  # per case, the factors of the t x t table never built
+
+    def recorded(depths, column, longest):
+        t = len(depths)
+        surviving = {
+            (j, pi[j - 1])
+            for pi in permutations(range(1, t + 1))
+            if all(column(j, depths[j - 1] + pi[j - 1] - j) for j in range(1, t + 1))
+            for j in range(1, t + 1)
+        }
+        built = []
+
+        def counting(j, k):
+            built.append((j, k - depths[j - 1] + j))
+            return column(j, k)
+
+        out = column_sum(depths, counting, longest)
+        assert set(built) <= surviving and len(built) == len(set(built))
+        unbuilt.append(t * t - len(built))
+        return out
+
+    for case in sorted(cases, key=repr):
+        with monkeypatch.context() as patch:
+            patch.setattr(free_algebra, "_signed_column_sum", recorded)
+            poly = J_augmented(*case)
+        assert poly == J_augmented(*case)
+    assert len(unbuilt) == len(cases) and sum(unbuilt) > 0
 
 
 def test_jnu_builds_no_product_past_its_degree(monkeypatch):
@@ -305,6 +364,10 @@ def test_chain_sums_match_the_old_builders():
             # the natural order and the full subset are one chain sum
             assert e_k_order(k, natural_order(N)) is e_k_subset(k, letters)
     assert cases == 768
+
+
+def h_k(k, N):
+    return h_k_order(k, natural_order(N))
 
 
 def test_homogeneous_examples():
@@ -709,6 +772,153 @@ def test_integer_pivots_match_fraction_pivots(monkeypatch):
     assert space._pivots == {0: {1: Fraction(1, 2)}} and type(space._pivots[0][1]) is Fraction
 
 
+def _mirror_reference(spec):
+    """The letter map c -> 2N-1-c, checked by the definition of the ideal:
+    each generator's image is a member, decided in a space built directly
+    for its content.  None when some image is not."""
+    top = 2 * spec.N - 1
+    mirror = tuple(letter_from_code(top - c) for c in range(top + 1))
+    for gen in free_algebra.generator_polys(spec):
+        image = {tuple(mirror[x] for x in word): c for word, c in gen.terms.items()}
+        (content,) = {tuple(sorted(word)) for word in image}
+        if free_algebra._ContentSpace(spec, content).normal_form(image):
+            return None
+    return mirror
+
+
+def _every_family(N):
+    return [kron_ideal(N), kronknuth_ideal(N), jshuffle_ideal(N), plac_ideal(natural_order(N)), plac_ideal(big_bar_order(N))]
+
+
+def test_mirror_holds_for_every_family():
+    for N in range(1, 5):
+        for spec in _every_family(N):
+            mirror = free_algebra._mirror(spec)
+            assert mirror is not None, spec.name()
+            assert [x.code for x in mirror] == list(range(2 * N - 1, -1, -1))
+            # i -> (N+1-i)' and i' -> N+1-i: an involution reversing the natural order
+            assert all(mirror[x].value == N + 1 - x.value and mirror[x].barred != x.barred for x in mirror)
+            assert all(mirror[mirror[c]] == c for c in range(2 * N))
+            if N <= 3:
+                assert mirror == _mirror_reference(spec), spec.name()
+
+
+def _moves_by_window(table):
+    """The move table as a dict from window to (partners, longer), checking
+    that a row is None exactly where no window starts with its two letters."""
+    found = {}
+    for a, row in enumerate(table):
+        for b, entry in enumerate(row):
+            if entry is None:
+                continue
+            at, after = entry
+            windows = [((a, b), at)] + [((a, b, c), moves) for c, moves in enumerate(after or ())]
+            assert any(moves is not None for _, moves in windows)
+            for window, moves in windows:
+                if moves is not None:
+                    found[tuple(map(letter_from_code, window))] = tuple(map(list, moves))
+    return found
+
+
+def test_window_moves_are_the_first_words_of_generators():
+    for N in range(1, 4):
+        for spec in _every_family(N):
+            expected = {}
+            for window, gens in generator_windows(spec).items():
+                mine = [gen for gen in gens if gen[0][0] == window]
+                if mine:
+                    expected[window] = ([gen[1][0] for gen in mine if len(gen) == 2], [gen for gen in mine if len(gen) != 2])
+            table = free_algebra._window_moves(spec, 2 * N)
+            assert _moves_by_window(table) == expected, spec.name()
+            assert isinstance(table, tuple) and all(isinstance(row, tuple) for row in table)
+            # a table wide enough for two outside letters has the same windows
+            wider = free_algebra._window_moves(spec, 2 * N + 2)
+            assert len(wider) == 2 * N + 2 and _moves_by_window(wider) == expected
+
+
+def test_mirrored_spaces_match_direct_builds():
+    # a view answers in its representative's numbering; what callers read,
+    # the zero test and the form-id partition of one content, must match a
+    # direct build of the content itself
+    views = words = 0
+    for spec, N in ((kron_ideal(2), 2), (kron_ideal(3), 3), (kronknuth_ideal(3), 3)):
+        mirror = free_algebra._mirror(spec)
+        for n in range(2, 6):
+            for codes in combinations_with_replacement(range(2 * N), n):
+                space = content_space(spec, codes)
+                image = tuple(sorted(mirror[c] for c in codes))
+                if image >= codes:
+                    assert type(space) is free_algebra._ContentSpace and space.words[0] == codes
+                    continue
+                assert type(space) is free_algebra._MirroredSpace
+                assert space._space is content_space(spec, image)
+                direct = free_algebra._ContentSpace(spec, codes)
+                by_view, by_direct = {}, {}
+                first = direct.words[0]
+                for word in direct.words:
+                    by_view.setdefault(space.form_id(word), set()).add(word)
+                    by_direct.setdefault(direct.form_id(word), set()).add(word)
+                    assert (not space.normal_form({word: 1})) == (not direct.normal_form({word: 1}))
+                    if word != first:
+                        difference = {word: 1, first: -1}
+                        assert (not space.normal_form(difference)) == (not direct.normal_form(difference))
+                    words += 1
+                assert sorted(map(sorted, by_view.values())) == sorted(map(sorted, by_direct.values()))
+                views += 1
+    assert (views, words) == (504, 9888)
+
+
+def test_letters_outside_the_alphabet_only_pad():
+    # no generator of kron_ideal(2) has a letter 3 or 3', so those letters
+    # only pad instances; such contents are built, never mirrored
+    kron = kron_ideal(2)
+    checked = 0
+    for n in range(1, 5):
+        for codes in combinations_with_replacement(range(6), n):
+            if codes[-1] < 4:
+                continue
+            space = content_space(kron, codes)
+            assert type(space) is free_algebra._ContentSpace
+            words, class_of, rows = _content_space_reference(kron, codes)
+            assert space.words == words and space.class_of == class_of
+            assert set(space._pivots) == _pivot_columns(rows)
+            checked += 1
+    assert checked == 209 - 69
+    assert not ideal_contains(kron, P("3 3 1") - P("3 1 3"))
+    assert ideal_contains(kron, P("2 2 1 3") - P("2 1 2 3"))
+
+
+def _clear_ideal_caches():
+    for cache in (generator_windows, free_algebra._window_moves, free_algebra._mirror,
+                  free_algebra._built_space, free_algebra._content_space):
+        cache.cache_clear()
+
+
+def test_an_asymmetric_ideal_builds_every_content(monkeypatch):
+    # drop one generator whose mirror image stays: the ideal is no longer
+    # mapped onto itself, so no content may be read through its image
+    kron = kron_ideal(2)
+    u, v = w("2 2 1'"), w("2 1' 2")
+    polys = free_algebra.generator_polys
+    kept = [g for g in polys(kron) if g != P("2 2 1'") - P("2 1' 2")]
+    assert len(kept) == len(polys(kron)) - 1
+    assert P("1' 1' 2") - P("1' 2 1'") in kept  # its mirror image
+    _clear_ideal_caches()
+    try:
+        monkeypatch.setattr(free_algebra, "generator_polys", lambda spec: kept if spec == kron else polys(spec))
+        assert free_algebra._mirror(kron) is None
+        for n in range(1, 5):
+            for codes in combinations_with_replacement(range(4), n):
+                assert type(content_space(kron, codes)) is free_algebra._ContentSpace
+        assert not ideal_contains(kron, NCPoly({u: 1, v: -1}))
+    finally:
+        monkeypatch.undo()
+        _clear_ideal_caches()
+    # with the whole ideal, the content of u is a view, and u - v a member
+    assert type(content_space(kron, tuple(sorted(u)))) is free_algebra._MirroredSpace
+    assert ideal_contains(kron, NCPoly({u: 1, v: -1}))
+
+
 def test_column_swap_and_vanishing_memberships():
     # equal adjacent flags let adjacent column depths swap with a sign
     kron = kron_ideal(2)
@@ -733,6 +943,7 @@ def test_generator_table_is_read_only():
         table.clear()
     # a cold content space reads the shared table; a padded generator is a member
     free_algebra._content_space.cache_clear()
+    free_algebra._built_space.cache_clear()
     assert ideal_contains(kron, P("2 2 1 1") - P("2 1 2 1"))
 
 

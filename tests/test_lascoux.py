@@ -2,16 +2,11 @@ from collections import Counter
 
 import pytest
 
+from helpers import shape_counts
+from suprschur.alphabet_words import enumerate_cyw, natural_order, standardize
 from suprschur.errors import InvalidParameterError, ResourceLimitError
 from suprschur.kronecker import g_oracle, hook
-from suprschur.lascoux import (
-    compose,
-    compose_classes,
-    gamma_class,
-    knuth_class_analysis,
-    shape_counts,
-    standardized_cyw,
-)
+from suprschur.lascoux import compose, compose_classes, gamma_class, knuth_class_analysis
 from suprschur.symfun import is_symmetric, schur_expand
 from suprschur.tableaux import partitions_of
 
@@ -75,6 +70,12 @@ def test_hook_hook_rule_small():
                 counts = shape_counts(product)
                 for nu in partitions_of(n):
                     assert counts.get(nu, 0) == g_oracle(lam, mu, nu)
+
+
+def standardized_cyw(lam, d):
+    """Standardizations (in the natural order) of the colored Yamanouchi words."""
+    order = natural_order(max(len(lam), 1))
+    return Counter(standardize(word, order) for word in enumerate_cyw(tuple(lam), d))
 
 
 def test_standardized_cyw_splits_as_a_product():

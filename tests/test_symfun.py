@@ -1,4 +1,6 @@
 import random
+from functools import lru_cache
+from types import MappingProxyType
 
 import pytest
 
@@ -19,7 +21,6 @@ from suprschur.symfun import (
     F_of_poly,
     F_of_set,
     QSymMonomialVector,
-    fundamental_qsym,
     is_symmetric,
     schur_expand,
     schur_expand_by_tableaux,
@@ -31,6 +32,41 @@ from suprschur.symfun import (
 from suprschur.tableaux import partitions_of
 
 w = parse_word
+
+
+@lru_cache(maxsize=None)
+def _fundamental_terms(descents, degree, nvars):
+    """The monomials of a fundamental quasisymmetric function with their
+    coefficients, read-only, so the cache can hand it to every caller."""
+    if any(not 1 <= pos <= degree - 1 for pos in descents):
+        raise InvalidParameterError("descents must lie between 1 and degree-1")
+    coeffs = {}
+    indices = [0] * degree
+
+    def rec(pos):
+        if pos == degree:
+            exps = [0] * nvars
+            for i in indices:
+                exps[i] += 1
+            key = tuple(exps)
+            coeffs[key] = coeffs.get(key, 0) + 1
+            return
+        lo = 0 if pos == 0 else indices[pos - 1] + (1 if pos in descents else 0)
+        for i in range(lo, nvars):
+            indices[pos] = i
+            rec(pos + 1)
+
+    rec(0)
+    return MappingProxyType(coeffs)
+
+
+def fundamental_qsym(descents, degree, nvars):
+    """Gessel's fundamental quasisymmetric function for a descent set: the
+    sum of x_{i_1}...x_{i_t} over weakly increasing index sequences that
+    step strictly at every descent position.  Each call returns a fresh
+    vector.  The reference side of ``F_of_set``, which fills F per descent
+    set instead."""
+    return QSymMonomialVector(degree, nvars, dict(_fundamental_terms(descents, degree, nvars)))
 
 
 def test_fundamental_qsym_examples():
@@ -310,8 +346,6 @@ def test_F_of_poly_weights():
 def _F_of_poly_reference(terms, order, nvars=None):
     """The expansion word by word: every word adds its whole fundamental
     quasisymmetric function, monomial by monomial."""
-    from suprschur.symfun import _fundamental_terms
-
     lengths = {len(word) for word in terms}
     degree = lengths.pop() if lengths else 0
     if nvars is None:

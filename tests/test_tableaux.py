@@ -24,6 +24,7 @@ from suprschur.alphabet_words import (
     ShuffleOrder,
     barred,
     big_bar_order,
+    covering_swap_path,
     enumerate_cyw,
     letter_from_code,
     natural_order,
@@ -646,18 +647,53 @@ def test_convert_step_matches_shift_rule_on_every_forward_swap():
 
 
 def test_convert_refuses_a_ribbon_without_one_refill():
-    # 1' 1' is no tableau (barred letters strictly increase along rows): it
-    # has no refill in either direction
+    # 1' 1' is no tableau (barred letters strictly increase along rows):
+    # convert refuses it at entry, and its ribbon has no refill in either
+    # direction, which convert_step, checking no input, reports
     nat, bb = natural_order(2), big_bar_order(2)
     for frm, to in ((nat, bb), (bb, nat)):
+        tab = ColoredTableau.parse("1' 1'", frm)
+        with pytest.raises(MalformedInputError, match="not a tableau"):
+            convert(tab, frm, to)
+        ((_, nxt, b, abar),) = covering_swap_path(frm, to)
         with pytest.raises(MalformedInputError, match="no refill"):
-            convert(ColoredTableau.parse("1' 1'", frm), frm, to)
+            convert_step(tab, nxt, b, abar)
     # two boxes that do not touch, one b between them, refill either way;
     # convert_step only passes connected ribbons, so it never sees this
     b, abar = unbarred(1), barred(1)
     apart = {(1, 1): b, (3, 3): abar}
     with pytest.raises(ConstructionFailureError, match="2 refills"):
         _unique_refill(set(apart), dict(apart), b, abar, ShuffleOrder(w("1' 1 2 2'")))
+
+
+def test_convert_refuses_a_non_tableau(monkeypatch):
+    # the row 2 1 and the column 1 / 1 are no tableaux in the natural order,
+    # though their ribbons refill: convert used to return them unchanged
+    nat, bb = natural_order(2), big_bar_order(2)
+    for text in ("2 1", "1 / 1"):
+        tab = ColoredTableau.parse(text, nat)
+        assert not validate_tableau(tab)
+        with pytest.raises(MalformedInputError, match=f"not a tableau in the source order: {text}$"):
+            convert(tab, nat, bb)
+        entries = dict(tab.entries)
+        for _, nxt, b, abar in covering_swap_path(nat, bb):
+            tab = convert_step(tab, nxt, b, abar)
+        assert tab.entries == entries
+    # a tableau is checked once per call, whatever the number of steps
+    from suprschur import tableaux
+
+    calls = []
+
+    def counting(tab):
+        calls.append(tab)
+        return validate_tableau(tab)
+
+    monkeypatch.setattr(tableaux, "validate_tableau", counting)
+    nat3, bb3 = natural_order(3), big_bar_order(3)
+    out = convert(ColoredTableau.parse("1 2' / 2'", nat3), nat3, bb3)
+    monkeypatch.undo()
+    assert len(covering_swap_path(nat3, bb3)) > 1 and len(calls) == 1
+    assert validate_tableau(out)
 
 
 def test_superstandard_examples():
