@@ -376,6 +376,13 @@ def swap_moves(spec: IdealSpec) -> frozenset[tuple[ColoredWord, int]]:
     return frozenset(moves)
 
 
+def swap_pairs(spec: IdealSpec) -> frozenset[tuple[Letter, Letter]]:
+    """The letter pairs ``(a, b)`` for which ``a b - b a`` is a generator:
+    the two-letter windows of ``swap_moves``.  Such a swap is a move in
+    every word, whatever the letters around it."""
+    return frozenset(u for u, _ in swap_moves(spec) if len(u) == 2)
+
+
 def linked_by_moves(spec: IdealSpec, words: Sequence[ColoredWord]) -> bool:
     """Whether every word of the list is reached from the first by swaps of
     two adjacent letters that are padded two-term generators, passing only

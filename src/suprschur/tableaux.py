@@ -569,12 +569,50 @@ def _filling_preds(letters: Sequence[Letter], layout: _Layout) -> tuple[int, ...
 
 def _filling_words(letters: Sequence[Letter], layout: _Layout) -> list[ColoredWord]:
     """The arrow-respecting reading words of a filling, sorted, from its
-    letters in box order and its box set's ``_box_layout``."""
+    letters in box order and its box set's ``_box_layout``.  Distinct orders
+    read distinct words (see ``_order_facts``), so there is nothing to
+    deduplicate."""
     preds = _filling_preds(letters, layout)
     orders = _linear_extensions(preds)
     if len(orders) == 1:
         return [tuple(map(letters.__getitem__, orders[0]))]
-    return sorted({read(letters) for read in _order_readers(preds)})
+    return sorted(read(letters) for read in _order_readers(preds))
+
+
+@lru_cache(maxsize=None)
+def _order_facts(preds: tuple[int, ...]) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The number of orders of ``_linear_extensions(preds)``, and the
+    incomparable pairs ``(i, j)``, ``i < j``: the indices that no chain of
+    predecessor masks puts one before the other.
+
+    For the masks of a filling (``_filling_preds``), the count is also the
+    number of its arrow-respecting reading words.  Two boxes with equal
+    letters are never incomparable.  A box weakly southwest of another is
+    read before it, so take ``(r1, c1)`` and ``(r2, c2)`` with ``r1 < r2``
+    and ``c1 < c2``, and the letter ``a`` in both.  In a restricted
+    shape ``(r2, c1)`` is then a box.  Its column forces ``T(r2, c1) > a``
+    for unbarred ``a`` and ``>= a`` for barred ``a``, and then row ``r2``
+    forces ``T(r2, c2) > a``, a contradiction.  So the boxes of each letter
+    form a chain, which every order reads in the same sequence: the k-th
+    ``a`` of a word is read from the k-th box of ``a``'s chain, the word
+    gives back its order, and distinct orders read distinct words.
+
+    The pairs are the swaps that join the orders: any two linear extensions
+    are joined by swaps of adjacent incomparable indices.
+    """
+    orders = _linear_extensions(preds)
+    n = len(preds)
+    # below[i]: the indices read before i in every order; an order reads
+    # each index after its predecessors, whose sets are then complete
+    below = list(preds)
+    for i in orders[0]:
+        for j in range(n):
+            if preds[i] >> j & 1:
+                below[i] |= below[j]
+    pairs = tuple(
+        (i, j) for i in range(n) for j in range(i + 1, n) if not below[i] >> j & 1 and not below[j] >> i & 1
+    )
+    return len(orders), pairs
 
 
 @lru_cache(maxsize=None)
@@ -612,6 +650,9 @@ def _linear_extensions(preds: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 
 
 def arrow_respecting_words(tab: ColoredTableau) -> list[ColoredWord]:
+    """The words read off the tableau in the orders its box poset and arrows
+    allow, sorted and distinct: equal letters form a chain of the poset, so
+    distinct orders read distinct words (see ``_order_facts``)."""
     layout, letters = _layout_and_letters(tab)
     return _filling_words(letters, layout)
 

@@ -41,13 +41,16 @@ from .free_algebra import (
     monomial_budget,
     perp_violation,
     plac_ideal,
+    swap_pairs,
 )
 from .tableaux import (
     ColoredTableau,
     RestrictedShape,
     _box_layout,
+    _filling_preds,
     _filling_words,
     _letter_fillings,
+    _order_facts,
     arrow_respecting_words,
     check_partition,
     column_reading,
@@ -226,13 +229,21 @@ def verify_reading_word_congruence(max_boxes: int, N: int) -> dict:
 
     The check runs per box set on plain letter tuples: each shape's layout
     is read once, its fillings stream as tuples of letters in box order,
-    and a filling's words are its letters read along the box orders its
-    arrows allow.  Only a failure builds its tableau, for the report.
+    and each filling is decided from its predecessor masks
+    (``_filling_preds``) before any word is built.  Only a failure builds
+    its tableau, for the report.
 
-    A tableau whose words ``linked_by_moves`` joins is congruent without a
-    content space; ``linked`` counts those tableaux.  The rest are decided
-    by equal form ids in their content's space, and ``contents`` counts the
-    distinct contents whose space was consulted: 46 at 6 boxes and N=3,
+    ``_order_facts`` gives the masks' number of orders and incomparable box
+    pairs.  The number of orders is the number of reading words, since
+    equal letters form a chain of the box poset; a filling with one order
+    has one word and needs nothing more.  A filling whose every incomparable
+    pair holds letters ``(a, b)`` in ``swap_pairs`` is congruent: any two of
+    its orders are joined by swaps of adjacent incomparable boxes, and each
+    such swap changes the word by a padded generator ``a b - b a``.  Only
+    the other fillings build their words: first ``linked_by_moves`` tries to
+    join them, and then equal form ids in their content's space decide.
+    ``linked`` counts the fillings joined by either test, and ``contents``
+    the distinct contents whose space was consulted: 46 at 6 boxes and N=3,
     where every tableau with more than one word would consult 726.  Neither
     count depends on what the cache held.
 
@@ -242,6 +253,7 @@ def verify_reading_word_congruence(max_boxes: int, N: int) -> dict:
     order = natural_order(N)
     top = barred(N)
     ideal = kron_ideal(N)
+    swaps = swap_pairs(ideal)
     budget = monomial_budget()
     tableaux_checked = 0
     words_checked = 0
@@ -252,11 +264,15 @@ def verify_reading_word_congruence(max_boxes: int, N: int) -> dict:
         ordered = layout[0]
         for letters in _letter_fillings(ordered, order, top):
             tableaux_checked += 1
-            words = _filling_words(letters, layout)
-            words_checked += len(words)
-            if len(words) == 1:
+            count, pairs = _order_facts(_filling_preds(letters, layout))
+            words_checked += count
+            if count == 1:
                 continue
-            check_budget(len(words), "the reading-word set of a tableau", budget)
+            check_budget(count, "the reading-word set of a tableau", budget)
+            if all((letters[i], letters[j]) in swaps for i, j in pairs):
+                linked += 1
+                continue
+            words = _filling_words(letters, layout)
             if linked_by_moves(ideal, words):
                 linked += 1
                 continue

@@ -950,8 +950,15 @@ def test_generator_table_is_read_only():
 def test_reading_word_congruence_reports_a_failure(monkeypatch):
     from suprschur import verify
 
+    order_facts = verify._order_facts
     filling_words = verify._filling_words
     added = []  # (a reading word, its reversal appended after it)
+
+    def with_an_extra_order(preds):
+        # one more order, and a box paired with itself, whose letters no swap
+        # window holds: every filling of two or more boxes builds its words
+        count, pairs = order_facts(preds)
+        return (count + 1, pairs + ((0, 0),)) if len(preds) > 1 else (count, pairs)
 
     def with_a_stranger(letters, layout):
         words = filling_words(letters, layout)
@@ -960,6 +967,7 @@ def test_reading_word_congruence_reports_a_failure(monkeypatch):
             return words + [added[-1][1]]
         return words
 
+    monkeypatch.setattr(verify, "_order_facts", with_an_extra_order)
     monkeypatch.setattr(verify, "_filling_words", with_a_stranger)
     report = verify.verify_reading_word_congruence(3, 2)
     assert report["ok"] is False
@@ -993,6 +1001,21 @@ def test_reading_word_congruence_refuses_a_tableau_over_the_budget(monkeypatch):
     monkeypatch.setenv("SUPRSCHUR_BUDGET", "3")
     report = verify.verify_reading_word_congruence(4, 2)
     assert report["ok"] and report["contents"] == 0
+
+
+def test_reading_word_congruence_checks_the_budget_before_the_pair_test(monkeypatch):
+    from suprschur import verify
+
+    # every letter pair swaps, so the pair test settles every filling of more
+    # than one word, and none builds its words
+    monkeypatch.setattr(verify, "swap_pairs", lambda spec: frozenset(all_words(2, 2)))
+    monkeypatch.setenv("SUPRSCHUR_BUDGET", "2")
+    with pytest.raises(ResourceLimitError) as info:
+        verify.verify_reading_word_congruence(4, 2)
+    assert info.value.required == 3
+    monkeypatch.setenv("SUPRSCHUR_BUDGET", "3")
+    report = verify.verify_reading_word_congruence(4, 2)
+    assert report["ok"] and report["linked"] == 92 and report["contents"] == 0
 
 
 def _reading_word_congruence_reference(max_boxes, N):
@@ -1116,9 +1139,15 @@ def test_reading_word_congruence_refuses_a_non_generator_swap(monkeypatch):
     # a check that accepted every adjacent swap would pass the stranger
     from suprschur import verify
 
+    order_facts = verify._order_facts
     filling_words = verify._filling_words
     word, stranger = w("1 2"), w("2 1")
+    row = (0, 0b01)  # the masks of two boxes in a row: the east one is read after the west one
     seen = []
+
+    def with_an_extra_order(preds):
+        # the row gets a second order, east box first, so its boxes are incomparable
+        return (2, ((0, 1),)) if preds == row else order_facts(preds)
 
     def with_a_stranger(letters, layout):
         words = filling_words(letters, layout)
@@ -1128,10 +1157,78 @@ def test_reading_word_congruence_refuses_a_non_generator_swap(monkeypatch):
             return words + [stranger]
         return words
 
+    monkeypatch.setattr(verify, "_order_facts", with_an_extra_order)
     monkeypatch.setattr(verify, "_filling_words", with_a_stranger)
     report = verify.verify_reading_word_congruence(3, 2)
     assert report == {"target": "reading-congruence", "ok": False, "tableau": seen[0], "word": "2 1"}
     assert not _dense_membership(kron_ideal(2), 2)(NCPoly.from_word(word) - NCPoly.from_word(stranger))
+
+
+def _letter_fillings_upto(max_boxes, N):
+    """Every restricted filling with at most max_boxes boxes and letters at
+    most N', as (letters in box order, the box set's layout)."""
+    from suprschur.tableaux import _box_layout, _letter_fillings, restricted_shapes_in_box
+
+    for shape in restricted_shapes_in_box(max_boxes, max_boxes, max_boxes=max_boxes):
+        layout = _box_layout(shape.boxes)
+        for letters in _letter_fillings(layout[0], natural_order(N), barred(N)):
+            yield letters, layout
+
+
+@pytest.mark.parametrize("max_boxes, N", CONGRUENCE_SIZES + [(6, 3), (5, 4)])
+def test_orders_read_distinct_words_and_pairs_settle_only_linked_fillings(max_boxes, N):
+    from suprschur.tableaux import _filling_preds, _linear_extensions, _order_facts
+
+    ideal = kron_ideal(N)
+    swaps = free_algebra.swap_pairs(ideal)
+    settled = 0
+    pairs_checked = set()
+    for letters, layout in _letter_fillings_upto(max_boxes, N):
+        preds = _filling_preds(letters, layout)
+        orders = _linear_extensions(preds)
+        count, pairs = _order_facts(preds)
+        words = {tuple(letters[i] for i in seq) for seq in orders}
+        assert len(words) == len(orders) == count
+        if preds not in pairs_checked:
+            # a pair is incomparable exactly when some order reads each box first
+            pairs_checked.add(preds)
+            position = [{i: k for k, i in enumerate(seq)} for seq in orders]
+            both_ways = {
+                (i, j)
+                for i, j in combinations(range(len(preds)), 2)
+                if len({at[i] < at[j] for at in position}) == 2
+            }
+            assert set(pairs) == both_ways and len(pairs) == len(both_ways)
+        if count > 1 and all((letters[i], letters[j]) in swaps for i, j in pairs):
+            settled += 1
+            assert linked_by_moves(ideal, sorted(words)), letters
+    assert settled > 0
+    if (max_boxes, N) == (6, 3):
+        assert settled == 18684
+
+
+def test_order_facts_edge_cases():
+    from suprschur.tableaux import _order_facts
+
+    assert _order_facts(()) == (1, ())
+    assert _order_facts((0,)) == (1, ())
+    # a chain through a middle index: 0 before 1 before 2, so 0 before 2
+    assert _order_facts((0, 0b001, 0b010)) == (1, ())
+    # an antichain of three, and a two-element chain beside a free index
+    assert _order_facts((0, 0, 0)) == (6, ((0, 1), (0, 2), (1, 2)))
+    assert _order_facts((0, 0b001, 0)) == (3, ((0, 2), (1, 2)))
+
+
+def test_swap_pairs_are_the_two_letter_swap_generators():
+    for N in (1, 2, 3, 4):
+        spec = kron_ideal(N)
+        expected = set()
+        for u, v in binary_pairs(spec):
+            if len(u) == 2 and v == u[::-1]:
+                expected |= {u, v}
+        assert free_algebra.swap_pairs(spec) == expected
+    assert w("1 2") not in free_algebra.swap_pairs(kron_ideal(2))
+    assert w("1 2'") in free_algebra.swap_pairs(kron_ideal(2))
 
 
 def test_swap_moves_are_the_two_term_generators(monkeypatch):
