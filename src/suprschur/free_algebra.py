@@ -836,7 +836,7 @@ def J_nu(nu: Sequence[int], N: int, order: ShuffleOrder | None = None) -> NCPoly
     """Noncommutative super Schur function via the signed sum over column sets."""
     from .tableaux import check_partition, conjugate
 
-    nu = check_partition(nu) if nu else ()
+    nu = check_partition(nu)
     if order is None:
         order = natural_order(N)
     depths = conjugate(nu)

@@ -148,7 +148,7 @@ def schur_monomials(nu: tuple[int, ...], nvars: int) -> Mapping[Exponents, int]:
     """Monomial expansion of the Schur polynomial by semistandard tableau
     enumeration (Kostka numbers), read-only, so the cache can hand it to
     every caller."""
-    nu = check_partition(nu) if nu else ()
+    nu = check_partition(nu)
     coeffs: dict[Exponents, int] = {}
     rows = len(nu)
     if rows > nvars:

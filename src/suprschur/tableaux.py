@@ -76,7 +76,11 @@ def parse_partition(text: str) -> tuple[int, ...]:
     text = text.strip()
     if not text:
         return ()
-    return check_partition(int(tok) for tok in text.split(","))
+    try:
+        parts = [int(tok) for tok in text.split(",")]
+    except ValueError:
+        raise MalformedInputError(f"cannot parse partition {text!r}") from None
+    return check_partition(parts)
 
 
 def partition_str(lam: Sequence[int]) -> str:
@@ -119,7 +123,7 @@ class RestrictedShape:
 
     @classmethod
     def from_partition(cls, lam: Sequence[int]) -> "RestrictedShape":
-        lam = check_partition(lam) if lam else ()
+        lam = check_partition(lam)
         return cls({(r + 1, c + 1) for r, row in enumerate(lam) for c in range(row)})
 
     @classmethod
@@ -408,8 +412,10 @@ def enumerate_tableaux(nu: Sequence[int], order: ShuffleOrder, max_letter: Lette
 # One model answers every question here.  Per box set, ``_box_layout`` gives
 # each box's mask of the boxes southwest of it and the pairs of boxes that
 # can carry an arrow; per filling, ``_filling_preds`` adds the arrow tails to
-# those masks.  The arrows, the northeast-maximal and nontail removable
-# boxes, and the arrow-respecting reading words are all read off the masks.
+# those masks.  The arrows and the northeast-maximal and nontail removable
+# boxes are read off the masks, and the reading orders, their incomparable
+# pairs and the readers of the words are one record per mask tuple,
+# ``_order_facts``.
 
 
 @dataclass(frozen=True)
@@ -567,23 +573,12 @@ def _filling_preds(letters: Sequence[Letter], layout: _Layout) -> tuple[int, ...
     return tuple(preds)
 
 
-def _filling_words(letters: Sequence[Letter], layout: _Layout) -> list[ColoredWord]:
-    """The arrow-respecting reading words of a filling, sorted, from its
-    letters in box order and its box set's ``_box_layout``.  Distinct orders
-    read distinct words (see ``_order_facts``), so there is nothing to
-    deduplicate."""
-    preds = _filling_preds(letters, layout)
-    orders = _linear_extensions(preds)
-    if len(orders) == 1:
-        return [tuple(map(letters.__getitem__, orders[0]))]
-    return sorted(read(letters) for read in _order_readers(preds))
-
-
 @lru_cache(maxsize=None)
-def _order_facts(preds: tuple[int, ...]) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """The number of orders of ``_linear_extensions(preds)``, and the
+def _order_facts(preds: tuple[int, ...]) -> tuple[int, tuple[tuple[int, int], ...], tuple[itemgetter, ...]]:
+    """The number of orders of ``_linear_extensions(preds)``, the
     incomparable pairs ``(i, j)``, ``i < j``: the indices that no chain of
-    predecessor masks puts one before the other.
+    predecessor masks puts one before the other, and one reader per order
+    that reads letters in box order along it.
 
     For the masks of a filling (``_filling_preds``), the count is also the
     number of its arrow-respecting reading words.  Two boxes with equal
@@ -595,7 +590,7 @@ def _order_facts(preds: tuple[int, ...]) -> tuple[int, tuple[tuple[int, int], ..
     forces ``T(r2, c2) > a``, a contradiction.  So the boxes of each letter
     form a chain, which every order reads in the same sequence: the k-th
     ``a`` of a word is read from the k-th box of ``a``'s chain, the word
-    gives back its order, and distinct orders read distinct words.
+    gives back its order, and distinct readers read distinct words.
 
     The pairs are the swaps that join the orders: any two linear extensions
     are joined by swaps of adjacent incomparable indices.
@@ -612,26 +607,18 @@ def _order_facts(preds: tuple[int, ...]) -> tuple[int, tuple[tuple[int, int], ..
     pairs = tuple(
         (i, j) for i in range(n) for j in range(i + 1, n) if not below[i] >> j & 1 and not below[j] >> i & 1
     )
-    return len(orders), pairs
+    # a getter of one index would return a bare letter; fewer than two
+    # indices have one order, which reads the letters as they stand
+    readers = tuple(itemgetter(*seq) for seq in orders) if n > 1 else (tuple,)
+    return len(orders), pairs, readers
 
 
-@lru_cache(maxsize=None)
-def _order_readers(preds: tuple[int, ...]) -> tuple[itemgetter, ...]:
-    """One ``itemgetter`` per order of ``_linear_extensions(preds)``, which
-    reads a filling's letters along that order.  Only for masks with more
-    than one order: those have two or more indices, so each getter returns
-    a tuple."""
-    return tuple(itemgetter(*seq) for seq in _linear_extensions(preds))
-
-
-@lru_cache(maxsize=None)
 def _linear_extensions(preds: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """Every order of the indices 0..n-1 in which each index comes after its
     predecessor mask (bit i for index i), in lexicographic order.
 
     One depth-first search with an explicit stack: the indices read so far
-    are a bitmask.  The orders depend only on the masks, so they are found
-    once for all the tableaux whose box poset and arrows give those masks.
+    are a bitmask.  ``_order_facts`` calls it once per mask tuple.
     """
     # reversed, so that the stack pops the smallest index first
     steps = [(1 << i, preds[i], i) for i in reversed(range(len(preds)))]
@@ -654,7 +641,8 @@ def arrow_respecting_words(tab: ColoredTableau) -> list[ColoredWord]:
     allow, sorted and distinct: equal letters form a chain of the poset, so
     distinct orders read distinct words (see ``_order_facts``)."""
     layout, letters = _layout_and_letters(tab)
-    return _filling_words(letters, layout)
+    _, _, readers = _order_facts(_filling_preds(letters, layout))
+    return sorted(read(letters) for read in readers)
 
 
 def some_arrow_respecting_word(tab: ColoredTableau) -> ColoredWord:
@@ -842,7 +830,7 @@ def inverse_rsk(p_rows: IntRows, q_rows: IntRows) -> tuple[int, ...]:
 
 def standard_tableaux(lam: Sequence[int]) -> Iterator[IntRows]:
     """All standard Young tableaux of the given shape."""
-    lam = check_partition(lam) if lam else ()
+    lam = check_partition(lam)
     n = sum(lam)
     rows: list[list[int]] = [[] for _ in lam]
 

@@ -9,7 +9,7 @@ them directly.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import product
+from itertools import combinations_with_replacement, product
 from typing import Callable, Iterable, Sequence
 
 from .alphabet_words import (
@@ -48,7 +48,6 @@ from .tableaux import (
     RestrictedShape,
     _box_layout,
     _filling_preds,
-    _filling_words,
     _letter_fillings,
     _order_facts,
     arrow_respecting_words,
@@ -233,15 +232,17 @@ def verify_reading_word_congruence(max_boxes: int, N: int) -> dict:
     (``_filling_preds``) before any word is built.  Only a failure builds
     its tableau, for the report.
 
-    ``_order_facts`` gives the masks' number of orders and incomparable box
-    pairs.  The number of orders is the number of reading words, since
-    equal letters form a chain of the box poset; a filling with one order
-    has one word and needs nothing more.  A filling whose every incomparable
-    pair holds letters ``(a, b)`` in ``swap_pairs`` is congruent: any two of
-    its orders are joined by swaps of adjacent incomparable boxes, and each
-    such swap changes the word by a padded generator ``a b - b a``.  Only
-    the other fillings build their words: first ``linked_by_moves`` tries to
-    join them, and then equal form ids in their content's space decide.
+    ``_order_facts`` gives the masks' one cached record: their number of
+    orders, incomparable box pairs and word readers.  The number of orders
+    is the number of reading words, since equal letters form a chain of the
+    box poset; a filling with one order has one word and needs nothing
+    more.  A filling whose every incomparable pair holds letters ``(a, b)``
+    in ``swap_pairs`` is congruent: any two of its orders are joined by
+    swaps of adjacent incomparable boxes, and each such swap changes the
+    word by a padded generator ``a b - b a``.  Only the other fillings read
+    their words, from the same record, so each filling's masks are computed
+    once: first ``linked_by_moves`` tries to join the words, and then equal
+    form ids in their content's space decide.
     ``linked`` counts the fillings joined by either test, and ``contents``
     the distinct contents whose space was consulted: 46 at 6 boxes and N=3,
     where every tableau with more than one word would consult 726.  Neither
@@ -264,7 +265,7 @@ def verify_reading_word_congruence(max_boxes: int, N: int) -> dict:
         ordered = layout[0]
         for letters in _letter_fillings(ordered, order, top):
             tableaux_checked += 1
-            count, pairs = _order_facts(_filling_preds(letters, layout))
+            count, pairs, readers = _order_facts(_filling_preds(letters, layout))
             words_checked += count
             if count == 1:
                 continue
@@ -272,7 +273,7 @@ def verify_reading_word_congruence(max_boxes: int, N: int) -> dict:
             if all((letters[i], letters[j]) in swaps for i, j in pairs):
                 linked += 1
                 continue
-            words = _filling_words(letters, layout)
+            words = sorted(read(letters) for read in readers)
             if linked_by_moves(ideal, words):
                 linked += 1
                 continue
@@ -339,15 +340,10 @@ def _staircase_form(alpha: tuple[int, ...], nu: tuple[int, ...]) -> tuple[int, i
 
 def _flag_choices(fixed: dict[int, Letter | None], l: int, N: int):
     """All weakly increasing flag tuples extending the pinned positions."""
+    # in rank order, so the combinations are the weakly increasing tuples
     values: list[Letter | None] = [None] + [letter_from_code(c) for c in range(2 * N)]
-    rank = lambda f: -1 if f is None else f.code  # noqa: E731
-    free = [c for c in range(1, l + 1) if c not in fixed]
-    for combo in product(values, repeat=len(free)):
-        assignment = dict(fixed)
-        assignment.update(zip(free, combo))
-        flags = tuple(assignment[c] for c in range(1, l + 1))
-        ranks = [rank(f) for f in flags]
-        if all(a <= b for a, b in zip(ranks, ranks[1:])):
+    for flags in combinations_with_replacement(values, l):
+        if all(flags[c - 1] == f for c, f in fixed.items()):
             yield flags
 
 
@@ -396,8 +392,7 @@ def verify_flagged(N: int = 2, max_alpha_weight: int = 4, box: int = 3) -> dict:
                 continue
             j, jprime = form
             shape = RestrictedShape.from_column_pair(nu, alpha)
-            fillings = list(enumerate_fillings(shape, order, top)) if shape.boxes else [ColoredTableau({}, order)]
-            for tab in fillings:
+            for tab in enumerate_fillings(shape, order, top):
                 border = {c: tab[(alpha[c - 1] + 1, c)] for c in range(1, jprime + 1)}
                 fixed: dict[int, Letter | None] = {c: down_arrow(border[c]) for c in range(1, jprime + 1) if c != j}
                 cap = down_arrow(border[j]) if j <= jprime else None

@@ -127,6 +127,9 @@ def test_usage_errors(capsys):
     assert err.value.code == 2
     assert main(["insert", "--word", "junk"]) == 2
     assert main(["sqread", "--tableau", "1' 1'"]) == 2
+    # a malformed partition is bad input, not a failed identity
+    assert main(["kron", "--lambda", "3,,1", "--mu-hook-d", "1", "--nu", "2,1"]) == 2
+    assert main(["verify", "jnu", "--nu", "2,x"]) == 2
 
 
 def test_empty_partition_is_a_usage_error(capsys):

@@ -951,24 +951,25 @@ def test_reading_word_congruence_reports_a_failure(monkeypatch):
     from suprschur import verify
 
     order_facts = verify._order_facts
-    filling_words = verify._filling_words
-    added = []  # (a reading word, its reversal appended after it)
+    added = []  # (the first reading word, its reversal read after it)
 
     def with_an_extra_order(preds):
         # one more order, and a box paired with itself, whose letters no swap
-        # window holds: every filling of two or more boxes builds its words
-        count, pairs = order_facts(preds)
-        return (count + 1, pairs + ((0, 0),)) if len(preds) > 1 else (count, pairs)
+        # window holds: every filling of two or more boxes builds its words;
+        # the extra reader reads the first word reversed
+        count, pairs, readers = order_facts(preds)
+        if len(preds) < 2:
+            return count, pairs, readers
 
-    def with_a_stranger(letters, layout):
-        words = filling_words(letters, layout)
-        if len(set(words[0])) > 1:
-            added.append((words[0], tuple(reversed(words[0]))))
-            return words + [added[-1][1]]
-        return words
+        def first_reversed(letters):
+            word = min(read(letters) for read in readers)
+            if len(set(word)) > 1:
+                added.append((word, word[::-1]))
+            return word[::-1]
+
+        return count + 1, pairs + ((0, 0),), readers + (first_reversed,)
 
     monkeypatch.setattr(verify, "_order_facts", with_an_extra_order)
-    monkeypatch.setattr(verify, "_filling_words", with_a_stranger)
     report = verify.verify_reading_word_congruence(3, 2)
     assert report["ok"] is False
     word, stranger = added[-1]
@@ -1140,25 +1141,27 @@ def test_reading_word_congruence_refuses_a_non_generator_swap(monkeypatch):
     from suprschur import verify
 
     order_facts = verify._order_facts
-    filling_words = verify._filling_words
     word, stranger = w("1 2"), w("2 1")
     row = (0, 0b01)  # the masks of two boxes in a row: the east one is read after the west one
     seen = []
 
     def with_an_extra_order(preds):
-        # the row gets a second order, east box first, so its boxes are incomparable
-        return (2, ((0, 1),)) if preds == row else order_facts(preds)
+        # the row gets a second order, east box first, so its boxes are
+        # incomparable; its reader reads "2 1" off the first "1 2" and
+        # otherwise the one real word again
+        count, pairs, readers = order_facts(preds)
+        if preds != row:
+            return count, pairs, readers
 
-    def with_a_stranger(letters, layout):
-        words = filling_words(letters, layout)
-        if words == [word] and not seen:
-            ordered = layout[0]
-            seen.append(ColoredTableau(dict(zip(ordered, letters)), natural_order(2)).to_text())
-            return words + [stranger]
-        return words
+        def east_first(letters):
+            if readers[0](letters) == word and not seen:
+                seen.append(ColoredTableau(dict(zip([(1, 1), (1, 2)], letters)), natural_order(2)).to_text())
+                return stranger
+            return readers[0](letters)
+
+        return 2, ((0, 1),), readers + (east_first,)
 
     monkeypatch.setattr(verify, "_order_facts", with_an_extra_order)
-    monkeypatch.setattr(verify, "_filling_words", with_a_stranger)
     report = verify.verify_reading_word_congruence(3, 2)
     assert report == {"target": "reading-congruence", "ok": False, "tableau": seen[0], "word": "2 1"}
     assert not _dense_membership(kron_ideal(2), 2)(NCPoly.from_word(word) - NCPoly.from_word(stranger))
@@ -1186,8 +1189,10 @@ def test_orders_read_distinct_words_and_pairs_settle_only_linked_fillings(max_bo
     for letters, layout in _letter_fillings_upto(max_boxes, N):
         preds = _filling_preds(letters, layout)
         orders = _linear_extensions(preds)
-        count, pairs = _order_facts(preds)
-        words = {tuple(letters[i] for i in seq) for seq in orders}
+        count, pairs, readers = _order_facts(preds)
+        read = [tuple(letters[i] for i in seq) for seq in orders]
+        assert [reader(letters) for reader in readers] == read
+        words = set(read)
         assert len(words) == len(orders) == count
         if preds not in pairs_checked:
             # a pair is incomparable exactly when some order reads each box first
@@ -1210,13 +1215,16 @@ def test_orders_read_distinct_words_and_pairs_settle_only_linked_fillings(max_bo
 def test_order_facts_edge_cases():
     from suprschur.tableaux import _order_facts
 
-    assert _order_facts(()) == (1, ())
-    assert _order_facts((0,)) == (1, ())
+    # fewer than two boxes: one order, whose reader keeps the word a tuple
+    for preds, letters in (((), []), ((0,), [unbarred(2)])):
+        count, pairs, readers = _order_facts(preds)
+        assert (count, pairs) == (1, ()) and len(readers) == 1
+        assert readers[0](letters) == tuple(letters)
     # a chain through a middle index: 0 before 1 before 2, so 0 before 2
-    assert _order_facts((0, 0b001, 0b010)) == (1, ())
+    assert _order_facts((0, 0b001, 0b010))[:2] == (1, ())
     # an antichain of three, and a two-element chain beside a free index
-    assert _order_facts((0, 0, 0)) == (6, ((0, 1), (0, 2), (1, 2)))
-    assert _order_facts((0, 0b001, 0)) == (3, ((0, 2), (1, 2)))
+    assert _order_facts((0, 0, 0))[:2] == (6, ((0, 1), (0, 2), (1, 2)))
+    assert _order_facts((0, 0b001, 0))[:2] == (3, ((0, 2), (1, 2)))
 
 
 def test_swap_pairs_are_the_two_letter_swap_generators():
