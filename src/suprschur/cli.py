@@ -195,10 +195,7 @@ def _cmd_convert_tableau(args) -> int:
     N = _infer_N(args, *rows)
     frm = parse_order(args.frm, N)
     to = parse_order(args.to, N)
-    tab = ColoredTableau.from_rows(rows, frm)
-    if not validate_tableau(tab):
-        raise MalformedInputError("not a valid colored tableau for the source order")
-    out = convert(tab, frm, to)
+    out = convert(ColoredTableau.from_rows(rows, frm), frm, to)
     _emit({"tableau": out.to_text().splitlines()}, out.to_text().splitlines(), args.pretty)
     return 0
 

@@ -23,9 +23,9 @@ of one word by a small int.
 The letter map sigma: i -> (N+1-i)', i' -> N+1-i sends every generator of
 each family to plus or minus a generator (``_mirror`` checks this per
 ideal).  Applied letter by letter it then maps the space of a content c
-onto the space of sigma(c), so a space is built once per mirror orbit
-{c, sigma(c)}, for the one that sorts first; the other reads it through a
-``_MirroredSpace``.
+onto the space of sigma(c).  So of each mirror orbit {c, sigma(c)} only the
+content that sorts first is built; the other is a ``_MirroredSpace`` over
+it, and the one cache of spaces, ``_content_space``, holds both.
 
 Every two-term generator of these families swaps two adjacent letters.
 ``linked_by_moves`` joins a list of words by those swaps alone, within the
@@ -670,19 +670,17 @@ class _MirroredSpace:
         return self._space.form_id(tuple([m[x] for x in w]))
 
 
-# one build per ideal and mirror orbit of contents ...
-_built_space = lru_cache(maxsize=None)(_ContentSpace)
-
-
-# ... and one space, built or mirrored, per ideal and content
+# one space, built or mirrored, per ideal and content.  A mirrored one wraps
+# this cache's entry for its image; sigma is an involution, so the image's
+# own image sorts after it and the image is built.
 @lru_cache(maxsize=None)
 def _content_space(spec: IdealSpec, content: tuple[int, ...]) -> _ContentSpace | _MirroredSpace:
     mirror = _mirror(spec)
     if mirror is not None and all(c < len(mirror) for c in content):
         image = tuple(sorted([mirror[c] for c in content]))
         if image < content:
-            return _MirroredSpace(_built_space(spec, image), mirror)
-    return _built_space(spec, content)
+            return _MirroredSpace(_content_space(spec, image), mirror)
+    return _ContentSpace(spec, content)
 
 
 def content_space(spec: IdealSpec, content: tuple[int, ...]) -> _ContentSpace | _MirroredSpace:
@@ -690,8 +688,9 @@ def content_space(spec: IdealSpec, content: tuple[int, ...]) -> _ContentSpace | 
 
     A content is built once per ideal and mirror orbit: when the ideal's
     ``_mirror`` sigma exists and sigma(content) sorts before the content,
-    the space is a ``_MirroredSpace`` over the build of sigma(content);
-    otherwise it is built itself.  That is always so when sigma is None, and
+    the space is a ``_MirroredSpace`` over the space of sigma(content);
+    otherwise it is built itself.  Each content's space is cached, so every
+    call returns the same object.  That is always so when sigma is None, and
     for a content with a letter outside the ideal's alphabet, where sigma is
     not defined.  Callers use only two things of a space: whether a normal
     form is empty (``ideal_contains``) and whether two words of the one

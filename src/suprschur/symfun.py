@@ -179,21 +179,6 @@ def schur_monomials(nu: tuple[int, ...], nvars: int) -> Mapping[Exponents, int]:
     return MappingProxyType(coeffs)
 
 
-@lru_cache(maxsize=None)
-def _dominant_exponents(degree: int, nvars: int) -> tuple[Exponents, ...]:
-    """The weakly decreasing exponent vectors of the degree in nvars
-    variables: the partitions with at most nvars parts, padded with zeros."""
-    return tuple(nu + (0,) * (nvars - len(nu)) for nu in partitions_of(degree) if len(nu) <= nvars)
-
-
-@lru_cache(maxsize=None)
-def _dominant_schur_monomials(nu: tuple[int, ...], nvars: int) -> tuple[tuple[Exponents, int], ...]:
-    """The terms of schur_monomials(nu, nvars) with weakly decreasing
-    exponents, the Kostka numbers K_{nu, mu}."""
-    monomials = schur_monomials(nu, nvars)
-    return tuple((exps, monomials[exps]) for exps in _dominant_exponents(sum(nu), nvars) if exps in monomials)
-
-
 def schur_expand(vec: QSymMonomialVector) -> SymFunc:
     """Expand a symmetric monomial vector in Schur polynomials by peeling
     dominance-leading terms; exact and unique when nvars >= degree.
@@ -206,19 +191,25 @@ def schur_expand(vec: QSymMonomialVector) -> SymFunc:
         raise InvalidParameterError("need at least as many variables as the degree")
     if not is_symmetric(vec):
         raise NotSymmetricError("vector is not symmetric")
-    residue = {exps: c for exps in _dominant_exponents(vec.degree, vec.nvars) if (c := vec.coeffs.get(exps))}
+    nvars = vec.nvars
+    # the partitions with at most nvars parts, padded with zeros
+    dominant = [nu + (0,) * (nvars - len(nu)) for nu in partitions_of(vec.degree) if len(nu) <= nvars]
+    residue = {exps: c for exps in dominant if (c := vec.coeffs.get(exps))}
     out: SymFunc = {}
     while residue:
         lead = max(residue)
         nu = tuple(part for part in lead if part)
         coeff = residue[lead]
         out[nu] = coeff
-        for exps, c in _dominant_schur_monomials(nu, vec.nvars):
-            new = residue.get(exps, 0) - coeff * c
-            if new:
-                residue[exps] = new
-            else:
-                residue.pop(exps, None)
+        monomials = schur_monomials(nu, nvars)
+        for exps in dominant:
+            c = monomials.get(exps)
+            if c:
+                new = residue.get(exps, 0) - coeff * c
+                if new:
+                    residue[exps] = new
+                else:
+                    residue.pop(exps, None)
     return out
 
 

@@ -395,8 +395,10 @@ def verify_flagged(N: int = 2, max_alpha_weight: int = 4, box: int = 3) -> dict:
             for tab in enumerate_fillings(shape, order, top):
                 border = {c: tab[(alpha[c - 1] + 1, c)] for c in range(1, jprime + 1)}
                 fixed: dict[int, Letter | None] = {c: down_arrow(border[c]) for c in range(1, jprime + 1) if c != j}
-                cap = down_arrow(border[j]) if j <= jprime else None
-                cap_rank = (-1 if cap is None else cap.code) if j <= jprime else None
+                cap_rank = None
+                if j <= jprime:
+                    cap = down_arrow(border[j])
+                    cap_rank = -1 if cap is None else cap.code
                 border_letters = [border[c] for c in range(j + 1, jprime + 1)]
                 splits = sorted(_reading_word_splits(tab, border_letters))
                 for flags in _flag_choices(fixed, l, N):
@@ -407,7 +409,7 @@ def verify_flagged(N: int = 2, max_alpha_weight: int = 4, box: int = 3) -> dict:
                     for v_word, w_word in splits:
                         if w_word and j + 1 <= jprime:
                             r_next = border[j + 1]
-                            n_j = flags[j - 1] if j <= l else None
+                            n_j = flags[j - 1]
                             if (
                                 not r_next.barred
                                 and w_word[0] == r_next

@@ -334,5 +334,5 @@ def test_criterion_10_flagged_expansion_exhaustive():
     started = time.time()
     outcome = verify_flagged(N=2, max_alpha_weight=4, box=3)
     assert outcome["ok"], outcome["failures"]
-    assert outcome["checked"] > 4000
+    assert outcome["checked"] == 4233
     report("10 (flagged expansion, exhaustive inside the 3x3 box)", started, 600)

@@ -21,6 +21,7 @@ from suprschur.alphabet_words import (
     is_yamanouchi,
     letter_from_code,
     natural_order,
+    parse_order,
     parse_word,
     standardize,
     to_plain_r,
@@ -121,6 +122,9 @@ def test_named_orders():
     assert ShuffleOrder(parse_word("1' 1 2 2'")).rank(barred(1)) == 0
     with pytest.raises(InvalidParameterError):
         natural_order(0)
+    assert parse_order('explicit:"1 2 1\' 2\'"', 2) == bb
+    with pytest.raises(InvalidParameterError):
+        parse_order("bogus", 2)
 
 
 def test_order_rejects_scrambled_halves():

@@ -127,6 +127,11 @@ def test_usage_errors(capsys):
     assert err.value.code == 2
     assert main(["insert", "--word", "junk"]) == 2
     assert main(["sqread", "--tableau", "1' 1'"]) == 2
+    # a filling that is not a tableau for the source order
+    assert main(["convert-tableau", "--tableau", "2 1", "--from", "natural", "--to", "bigbar"]) == 2
+    # an unknown order, and an explicit one with a half out of order
+    assert main(["insert", "--word", "1 2", "--order", "bogus"]) == 2
+    assert main(["insert", "--word", "1 2", "--order", "explicit:\"2 1 1' 2'\""]) == 2
     # a malformed partition is bad input, not a failed identity
     assert main(["kron", "--lambda", "3,,1", "--mu-hook-d", "1", "--nu", "2,1"]) == 2
     assert main(["verify", "jnu", "--nu", "2,x"]) == 2

@@ -890,7 +890,7 @@ def test_letters_outside_the_alphabet_only_pad():
 
 def _clear_ideal_caches():
     for cache in (generator_windows, free_algebra._window_moves, free_algebra._mirror,
-                  free_algebra._built_space, free_algebra._content_space):
+                  free_algebra._content_space):
         cache.cache_clear()
 
 
@@ -943,7 +943,6 @@ def test_generator_table_is_read_only():
         table.clear()
     # a cold content space reads the shared table; a padded generator is a member
     free_algebra._content_space.cache_clear()
-    free_algebra._built_space.cache_clear()
     assert ideal_contains(kron, P("2 2 1 1") - P("2 1 2 1"))
 
 
