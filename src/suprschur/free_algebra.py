@@ -50,7 +50,6 @@ from .alphabet_words import (
     arrangement_count,
     letter_from_code,
     natural_order,
-    parse_word,
     word_str,
 )
 from .errors import InvalidParameterError, ResourceLimitError
@@ -176,18 +175,6 @@ class NCPoly:
             c = self.terms[w]
             lines.append(f"{'+' if c >= 0 else '-'}{abs(c)} * {word_str(w)}")
         return "\n".join(lines)
-
-    @classmethod
-    def from_text(cls, text: str) -> "NCPoly":
-        terms: dict[ColoredWord, int] = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            coeff_part, _, word_part = line.partition("*")
-            word = parse_word(word_part)
-            terms[word] = terms.get(word, 0) + int(coeff_part.replace(" ", ""))
-        return cls(terms)
 
     def __repr__(self) -> str:
         return f"NCPoly({self.to_text()!r})" if self.terms else "NCPoly(0)"

@@ -36,7 +36,7 @@ from .alphabet_words import enumerate_cyw  # noqa: F401
 from .errors import InvalidParameterError, ResourceLimitError
 from .tableaux import check_partition, insert, partitions_of, sqread  # noqa: F401
 
-ORACLE_BUDGET = 14
+ORACLE_BUDGET = 18
 
 
 @lru_cache(maxsize=None)
@@ -95,15 +95,6 @@ class CharacterTable:
     def chi(self, lam: Sequence[int], rho: Sequence[int]) -> int:
         return self.rows[tuple(lam)][self.partitions.index(tuple(rho))]
 
-    def check_orthogonality(self) -> bool:
-        n_fact = factorial(self.n)
-        for lam, row in self.rows.items():
-            for mu, other in self.rows.items():
-                total = sum(z * a * b for z, a, b in zip(self.sizes, row, other))
-                if total != (n_fact if lam == mu else 0):
-                    return False
-        return True
-
 
 @lru_cache(maxsize=None)
 def character_table(n: int) -> CharacterTable:
@@ -127,7 +118,11 @@ def _same_size(*parts: Sequence[int]) -> tuple[tuple[int, ...], ...]:
 
 def g_oracle(lam: Sequence[int], mu: Sequence[int], nu: Sequence[int]) -> int:
     """Kronecker coefficient as an averaged triple product of characters."""
-    lam, mu, nu = _same_size(lam, mu, nu)
+    return _triple_product(*_same_size(lam, mu, nu))
+
+
+def _triple_product(lam: tuple[int, ...], mu: tuple[int, ...], nu: tuple[int, ...]) -> int:
+    """g_oracle on partitions already checked to be of one size n >= 1."""
     n = sum(lam)
     table = character_table(n)
     rows = table.rows
@@ -285,7 +280,7 @@ def g_sum_oracle(lam: Sequence[int], d: int, nu: Sequence[int]) -> int:
     n = sum(lam)
     total = 0
     if 0 <= d <= n - 1:
-        total += g_oracle(lam, hook(n, d), nu)
+        total += _triple_product(lam, hook(n, d), nu)
     if 0 <= d - 1 <= n - 1:
-        total += g_oracle(lam, hook(n, d - 1), nu)
+        total += _triple_product(lam, hook(n, d - 1), nu)
     return total

@@ -12,7 +12,6 @@ on exactly one i-edge.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
@@ -110,20 +109,6 @@ class Switchboard:
             lines.append(f'  {index[edge.words[0]]} -- {index[edge.words[1]]} [label="{label}"];')
         lines.append("}")
         return "\n".join(lines)
-
-    def to_json(self) -> str:
-        payload = {
-            "vertices": [word_str(w) for w in self.vertices],
-            "edges": [
-                {
-                    "position": e.position,
-                    "kind": e.kind,
-                    "words": [word_str(e.words[0]), word_str(e.words[1])],
-                }
-                for e in sorted(self.edges, key=lambda e: (e.position, e.words[0]))
-            ],
-        }
-        return json.dumps(payload, indent=2)
 
 
 def _needs_edge(word: ColoredWord, i: int, order: ShuffleOrder) -> bool:

@@ -1,23 +1,28 @@
 """Fundamental quasisymmetric functions, Schur expansions, and word conversion.
 
-``F`` of a weighted word set is filled per descent set.  The weights are
-summed by descent set D first; then each monomial x^e takes the sum over
-the sets D that lie inside the cut set of e, the partial sums of its nonzero
-parts without the last, since x^e occurs in F_D, once, exactly then.
+A quasisymmetric function of degree n is kept in the monomial
+quasisymmetric basis: one coefficient per composition alpha of n, the
+coefficient of M_alpha.  A composition is keyed by its cut set, the partial
+sums of its parts without the last, as a bitmask with bit p-1 for position
+p in 1..n-1; so there are 2^(n-1) keys, whatever the number of variables.
 
-The Schur expansion oracle works in exactly n = degree variables, where the
-Schur polynomials of that degree are linearly independent; their monomial
-expansions come from semistandard tableau enumeration, so the oracle is
-independent of the tableau-counting route it is used to check.  Once the
-symmetry check passes, a symmetric function is fixed by its coefficients on
-weakly decreasing exponents, so the peel reads and subtracts only those.
+``F`` of a weighted word set is filled per descent set.  The weights are
+summed by descent set D first.  Since F_D is the sum of M_alpha over the
+compositions whose cut set contains D, M_alpha then takes the sum of the
+weights of the sets D inside its cut set (Gessel 1984; Stanley, EC2 7.19).
+
+A quasisymmetric function is symmetric exactly when the coefficient of
+M_alpha depends only on alpha sorted; it is then the sum of c_mu m_mu over
+partitions mu.  The Schur expansion peels these coefficients with Kostka
+numbers, the counts of semistandard tableaux of shape nu and content mu
+(EC2 7.10), found by removing horizontal strips.  So the oracle is
+independent of the colored-tableau route it is used to check.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .alphabet_words import (
     ColoredWord,
@@ -28,111 +33,101 @@ from .alphabet_words import (
     descent_set,
 )
 from .errors import InvalidParameterError, NotSymmetricError
-from .tableaux import check_partition, partitions_of, tableaux_with_sqread_in
+from .tableaux import partitions_of, tableaux_with_sqread_in
 
-Exponents = tuple[int, ...]
 SymFunc = dict[tuple[int, ...], int]  # partition -> coefficient in the Schur basis
 
 
-class QSymMonomialVector:
-    """A polynomial of fixed degree in finitely many variables, stored as a
-    map from exponent vectors to integer coefficients."""
+class QSymVector:
+    """A quasisymmetric function of fixed degree in the monomial
+    quasisymmetric basis, stored as a map from cut-set bitmasks to nonzero
+    integer coefficients."""
 
-    __slots__ = ("degree", "nvars", "coeffs")
+    __slots__ = ("degree", "coeffs")
 
-    def __init__(self, degree: int, nvars: int, coeffs: Mapping[Exponents, int] | None = None):
+    def __init__(self, degree: int, coeffs: Mapping[int, int] | None = None):
         self.degree = degree
-        self.nvars = nvars
-        self.coeffs: dict[Exponents, int] = {}
-        for exps, c in (coeffs or {}).items():
+        self.coeffs: dict[int, int] = {}
+        size = 1 << max(degree - 1, 0)
+        for cuts, c in (coeffs or {}).items():
             if c:
-                if len(exps) != nvars or sum(exps) != degree:
-                    raise InvalidParameterError("exponent vector does not match degree/variables")
-                self.coeffs[exps] = c
-
-    def add_inplace(self, other: "QSymMonomialVector", scale: int = 1) -> None:
-        if (other.degree, other.nvars) != (self.degree, self.nvars):
-            raise InvalidParameterError("degree/variable mismatch")
-        for exps, c in other.coeffs.items():
-            new = self.coeffs.get(exps, 0) + scale * c
-            if new:
-                self.coeffs[exps] = new
-            else:
-                self.coeffs.pop(exps, None)
+                if not 0 <= cuts < size:
+                    raise InvalidParameterError("cut set does not match the degree")
+                self.coeffs[cuts] = c
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, QSymMonomialVector)
-            and self.degree == other.degree
-            and self.nvars == other.nvars
-            and self.coeffs == other.coeffs
-        )
+        return isinstance(other, QSymVector) and self.degree == other.degree and self.coeffs == other.coeffs
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
 
-@lru_cache(maxsize=None)
-def _monomial_cuts(degree: int, nvars: int) -> tuple[tuple[int, tuple[Exponents, ...]], ...]:
-    """Every exponent vector of the degree in nvars variables, grouped by its
-    cut set: the partial sums of its nonzero parts without the last, as a
-    bitmask with bit p-1 for position p."""
-    groups: dict[int, list[Exponents]] = {}
-
-    def rec(prefix: Exponents, left: int, total: int, cuts: int) -> None:
-        if len(prefix) == nvars:
-            if not left:
-                groups.setdefault(cuts, []).append(prefix)
-            return
-        for part in range(left, -1, -1):
-            step = total + part
-            cut = 1 << (step - 1) if part and part < left else 0
-            rec(prefix + (part,), left - part, step, cuts | cut)
-
-    rec((), degree, 0, 0)
-    return tuple((cuts, tuple(exps)) for cuts, exps in groups.items())
+def composition(cuts: int, degree: int) -> tuple[int, ...]:
+    """The composition of the degree with the given cut set."""
+    parts = []
+    last = 0
+    for pos in range(1, degree):
+        if cuts >> (pos - 1) & 1:
+            parts.append(pos - last)
+            last = pos
+    if degree:
+        parts.append(degree - last)
+    return tuple(parts)
 
 
-def F_of_poly(terms: Mapping[ColoredWord, int], order: ShuffleOrder, nvars: int | None = None) -> QSymMonomialVector:
+def cut_set(parts: Iterable[int]) -> int:
+    """The cut-set bitmask of a composition: bit p-1 for each partial sum p
+    of its parts but the last."""
+    cuts = 0
+    total = 0
+    for part in parts:
+        if total:
+            cuts |= 1 << (total - 1)
+        total += part
+    return cuts
+
+
+def F_of_poly(terms: Mapping[ColoredWord, int], order: ShuffleOrder) -> QSymVector:
     """Sum of fundamental quasisymmetric functions over the descent sets of
-    the support, with the given integer weights.
+    the support, with the given integer weights, in the monomial
+    quasisymmetric basis.
 
-    The weights are summed per descent set first; x^e then takes the sum
-    over the descent sets inside its cut set."""
+    The weights are summed per descent set first; M_alpha then takes the
+    sum over the descent sets inside alpha's cut set, one bit at a time."""
     lengths = {len(w) for w in terms}
     if len(lengths) > 1:
         raise InvalidParameterError("all words must have the same length")
     degree = lengths.pop() if lengths else 0
-    if nvars is None:
-        nvars = max(degree, 1)
     by_set: dict[frozenset[int], int] = {}
     for w, c in terms.items():
         descents = descent_set(w, order)
         by_set[descents] = by_set.get(descents, 0) + c
-    weights = [(sum(1 << (pos - 1) for pos in descents), c) for descents, c in by_set.items() if c]
-    coeffs: dict[Exponents, int] = {}
-    for cuts, group in _monomial_cuts(degree, nvars):
-        total = sum(c for mask, c in weights if not mask & ~cuts)
-        if total:
-            coeffs.update(dict.fromkeys(group, total))
-    return QSymMonomialVector(degree, nvars, coeffs)
+    sums = [0] * (1 << max(degree - 1, 0))
+    for descents, c in by_set.items():
+        sums[sum(1 << (pos - 1) for pos in descents)] += c
+    for pos in range(degree - 1):
+        bit = 1 << pos
+        for cuts in range(len(sums)):
+            if cuts & bit:
+                sums[cuts] += sums[cuts ^ bit]
+    return QSymVector(degree, dict(enumerate(sums)))
 
 
-def F_of_set(words: Iterable[ColoredWord], order: ShuffleOrder, nvars: int | None = None) -> QSymMonomialVector:
-    return F_of_poly({w: 1 for w in words}, order, nvars)
+def F_of_set(words: Iterable[ColoredWord], order: ShuffleOrder) -> QSymVector:
+    return F_of_poly({w: 1 for w in words}, order)
 
 
-def is_symmetric(vec: QSymMonomialVector) -> bool:
-    """Invariance of coefficients under permuting the variables.
+def is_symmetric(vec: QSymVector) -> bool:
+    """Whether the coefficient of M_alpha depends only on alpha sorted.
 
-    Groups the stored exponent vectors by their sorted rearrangement: the
-    vector is symmetric when each group has one coefficient and as many
-    members as its orbit under the symmetric group.  Stored coefficients
-    are nonzero, so a full count means every rearrangement is present.
+    Groups the stored compositions by their sorted parts: the vector is
+    symmetric when each group has one coefficient and as many members as
+    its partition has rearrangements.  Stored coefficients are nonzero, so
+    a full count means every rearrangement is present.
     """
-    groups: dict[Exponents, list[int]] = {}  # sorted exponents -> [coefficient, members]
-    for exps, c in vec.coeffs.items():
-        key = tuple(sorted(exps, reverse=True))
+    groups: dict[tuple[int, ...], list[int]] = {}  # partition -> [coefficient, members]
+    for cuts, c in vec.coeffs.items():
+        key = tuple(sorted(composition(cuts, vec.degree), reverse=True))
         group = groups.get(key)
         if group is None:
             groups[key] = [c, 1]
@@ -143,73 +138,59 @@ def is_symmetric(vec: QSymMonomialVector) -> bool:
     return all(members == arrangement_count(key) for key, (_, members) in groups.items())
 
 
-@lru_cache(maxsize=None)
-def schur_monomials(nu: tuple[int, ...], nvars: int) -> Mapping[Exponents, int]:
-    """Monomial expansion of the Schur polynomial by semistandard tableau
-    enumeration (Kostka numbers), read-only, so the cache can hand it to
-    every caller."""
-    nu = check_partition(nu)
-    coeffs: dict[Exponents, int] = {}
+def _horizontal_strips(nu: tuple[int, ...], size: int) -> Iterator[tuple[int, ...]]:
+    """The partitions rho inside nu with nu/rho a horizontal strip of the
+    given size: nu[i+1] <= rho[i] <= nu[i] row by row, trailing zeros cut."""
     rows = len(nu)
-    if rows > nvars:
-        return MappingProxyType(coeffs)
-    if not nu:
-        return MappingProxyType({(0,) * nvars: 1})
-    tableau = [[0] * part for part in nu]
-    boxes = [(r, c) for r, part in enumerate(nu) for c in range(part)]
 
-    def rec(i: int) -> None:
-        if i == len(boxes):
-            exps = [0] * nvars
-            for row in tableau:
-                for v in row:
-                    exps[v - 1] += 1
-            key = tuple(exps)
-            coeffs[key] = coeffs.get(key, 0) + 1
+    def rec(i: int, left: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        if i == rows:
+            if not left:
+                yield tuple(part for part in prefix if part)
             return
-        r, c = boxes[i]
-        lo = tableau[r][c - 1] if c else 1
-        lo = max(lo, tableau[r - 1][c] + 1 if r else 1)
-        for v in range(lo, nvars + 1):
-            tableau[r][c] = v
-            rec(i + 1)
-        tableau[r][c] = 0
+        floor = nu[i + 1] if i + 1 < rows else 0
+        for part in range(max(floor, nu[i] - left), nu[i] + 1):
+            yield from rec(i + 1, left - (nu[i] - part), prefix + (part,))
 
-    rec(0)
-    return MappingProxyType(coeffs)
+    return rec(0, size, ())
 
 
-def schur_expand(vec: QSymMonomialVector) -> SymFunc:
-    """Expand a symmetric monomial vector in Schur polynomials by peeling
-    dominance-leading terms; exact and unique when nvars >= degree.
+@lru_cache(maxsize=None)
+def kostka(nu: tuple[int, ...], mu: tuple[int, ...]) -> int:
+    """The Kostka number K_{nu,mu}: semistandard tableaux of shape nu (a
+    partition) and content mu (a composition).
 
-    The symmetry check comes first.  Once it passes, the vector is fixed by
-    its coefficients on weakly decreasing exponents, so only those are read:
-    each peel takes the largest one left and subtracts the Kostka numbers of
-    its Schur polynomial on those exponents."""
-    if vec.nvars < vec.degree and vec.degree > 0:
-        raise InvalidParameterError("need at least as many variables as the degree")
+    The boxes holding the largest entry len(mu) form a horizontal strip of
+    size mu[-1]; removing it leaves a tableau of content mu[:-1]."""
+    if not mu:
+        return 0 if nu else 1
+    if len(nu) > len(mu) or sum(nu) != sum(mu):
+        return 0
+    rest = mu[:-1]
+    return sum(kostka(rho, rest) for rho in _horizontal_strips(nu, mu[-1]))
+
+
+def schur_expand(vec: QSymVector) -> SymFunc:
+    """Expand a symmetric function in Schur functions by peeling
+    dominance-leading terms; exact and unique.
+
+    The symmetry check comes first.  Once it passes, the function is the
+    sum of c_mu m_mu over partitions mu, with c_mu the coefficient of M_mu,
+    so only partitions are read.  They are peeled in lexicographic order,
+    largest first, which extends the dominance order: when nu comes up, no
+    Schur function left can reach m_nu but s_nu, so s_nu takes nu's residue
+    c, and c K_{nu,kappa} comes off every later kappa."""
     if not is_symmetric(vec):
         raise NotSymmetricError("vector is not symmetric")
-    nvars = vec.nvars
-    # the partitions with at most nvars parts, padded with zeros
-    dominant = [nu + (0,) * (nvars - len(nu)) for nu in partitions_of(vec.degree) if len(nu) <= nvars]
-    residue = {exps: c for exps in dominant if (c := vec.coeffs.get(exps))}
+    partitions = partitions_of(vec.degree)
+    residue = [vec.coeffs.get(cut_set(mu), 0) for mu in partitions]
     out: SymFunc = {}
-    while residue:
-        lead = max(residue)
-        nu = tuple(part for part in lead if part)
-        coeff = residue[lead]
-        out[nu] = coeff
-        monomials = schur_monomials(nu, nvars)
-        for exps in dominant:
-            c = monomials.get(exps)
-            if c:
-                new = residue.get(exps, 0) - coeff * c
-                if new:
-                    residue[exps] = new
-                else:
-                    residue.pop(exps, None)
+    for i, nu in enumerate(partitions):
+        coeff = residue[i]
+        if coeff:
+            out[nu] = coeff
+            for j in range(i + 1, len(partitions)):
+                residue[j] -= coeff * kostka(nu, partitions[j])
     return out
 
 

@@ -138,9 +138,6 @@ class RestrictedShape:
             boxes.update((r, c) for r in range(cut + 1, height + 1))
         return cls(boxes)
 
-    def serialize(self) -> list[tuple[int, int]]:
-        return list(self.column_intervals)
-
     def __len__(self) -> int:
         return len(self.boxes)
 

@@ -59,13 +59,26 @@ def P(text: str) -> NCPoly:
     return NCPoly.from_word(w(text))
 
 
+def ncpoly_from_text(text: str) -> NCPoly:
+    """Read back ``NCPoly.to_text``: one ``+c * word`` or ``-c * word`` per line."""
+    terms = {}
+    for line in text.splitlines():
+        line = line.strip()
+        if not line:
+            continue
+        coeff_part, _, word_part = line.partition("*")
+        word = w(word_part)
+        terms[word] = terms.get(word, 0) + int(coeff_part.replace(" ", ""))
+    return NCPoly(terms)
+
+
 def _partitions_up_to(size):
     return [nu for n in range(size + 1) for nu in partitions_of(n)]
 
 
 def test_jnu_text_is_unchanged():
     assert J_nu((2, 1), 2).to_text() == JNU21_N2_TEXT
-    assert NCPoly.from_text(JNU21_N2_TEXT) == J_nu((2, 1), 2)
+    assert ncpoly_from_text(JNU21_N2_TEXT) == J_nu((2, 1), 2)
 
 
 def _signed_column_sum_reference(depths, column, longest=None):
@@ -278,7 +291,7 @@ def test_ncpoly_arithmetic_and_text():
     f = P("1 2") - 2 * P("2 1")
     assert f.pairing(P("2 1")) == -2
     assert f.degree() == 2
-    assert NCPoly.from_text(f.to_text()) == f
+    assert ncpoly_from_text(f.to_text()) == f
     assert (f - f) == NCPoly()
     # the degree-3 products cancel
     assert (P("1") + P("1 1")) * (P("1 1") - P("1")) == P("1 1 1 1") - P("1 1")

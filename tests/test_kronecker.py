@@ -30,9 +30,21 @@ def test_character_table_known_values():
     assert table.chi((2, 1), (3,)) == -1
 
 
+def _is_orthogonal(table):
+    """First orthogonality: rows weighted by class sizes sum to n! on the
+    diagonal and to 0 off it."""
+    n_fact = factorial(table.n)
+    for lam, row in table.rows.items():
+        for mu, other in table.rows.items():
+            total = sum(z * a * b for z, a, b in zip(table.sizes, row, other))
+            if total != (n_fact if lam == mu else 0):
+                return False
+    return True
+
+
 def test_orthogonality():
     for n in range(1, 9):
-        assert character_table(n).check_orthogonality()
+        assert _is_orthogonal(character_table(n))
 
 
 def test_class_sizes():
@@ -122,6 +134,21 @@ def test_hook_rule_examples():
         g_hook_rule((2, 1), 3, (2, 1))
     with pytest.raises(InvalidParameterError):
         hook(3, 3)
+
+
+def test_hook_rule_matches_oracle_at_fifteen_boxes():
+    # past the old oracle limit of n = 14: the staircase against every hook
+    # and every shape
+    lam = (5, 4, 3, 2, 1)
+    assert ORACLE_BUDGET >= 15
+    checked = nonzero = 0
+    for d in range(15):
+        for nu in partitions_of(15):
+            value = g_hook_rule(lam, d, nu)
+            assert value == g_hook_oracle(lam, d, nu), (d, nu)
+            checked += 1
+            nonzero += value != 0
+    assert (checked, nonzero) == (2640, 1185)
 
 
 def _g_sum_oracle_reference(lam, d, nu):

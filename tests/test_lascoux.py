@@ -2,6 +2,8 @@ from collections import Counter
 
 import pytest
 
+import exponent_vectors as ev
+from exponent_vectors import in_variables
 from helpers import shape_counts
 from suprschur.alphabet_words import enumerate_cyw, natural_order, standardize
 from suprschur.errors import InvalidParameterError, ResourceLimitError
@@ -102,6 +104,7 @@ def test_hook_mu_quasisymmetric_function_is_symmetric():
                 product = compose_classes(gamma_class(lam), gamma_class(mu))
                 weighted = {tuple(unbarred(v) for v in perm): mult for perm, mult in product.items()}
                 vec = F_of_poly(weighted, natural_order(n))
+                assert in_variables(vec, n) == ev.F_of_poly(weighted, natural_order(n))
                 assert is_symmetric(vec)
                 expansion = schur_expand(vec)
                 for nu in partitions_of(n):

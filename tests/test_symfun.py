@@ -1,9 +1,12 @@
 import random
 from functools import lru_cache
+from itertools import permutations
 from types import MappingProxyType
 
 import pytest
 
+import exponent_vectors as ev
+from exponent_vectors import QSymMonomialVector, in_variables, schur_monomials
 from golden_data import CYW32_SCHUR, CYW33_COMPONENTS
 from suprschur.alphabet_words import (
     ShuffleOrder,
@@ -20,11 +23,13 @@ from suprschur.free_algebra import J_nu, NCPoly, h_k_order
 from suprschur.symfun import (
     F_of_poly,
     F_of_set,
-    QSymMonomialVector,
+    QSymVector,
+    composition,
+    cut_set,
     is_symmetric,
+    kostka,
     schur_expand,
     schur_expand_by_tableaux,
-    schur_monomials,
     symfunc_serialize,
     word_convert,
     word_convert_step,
@@ -83,8 +88,10 @@ def test_fundamental_qsym_examples():
 
 def test_F_examples():
     nat = natural_order(2)
-    single = F_of_set([w("1")], nat, nvars=3)
+    single = in_variables(F_of_set([w("1")], nat), 3)
     assert single.coeffs == {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1}
+    assert single == ev.F_of_set([w("1")], nat, nvars=3)
+    assert F_of_set([w("1")], nat).coeffs == {0: 1}
     with pytest.raises(InvalidParameterError):
         F_of_set([w("1"), w("1 1")], nat)
 
@@ -100,13 +107,39 @@ def test_schur_expand_golden():
 
 
 def test_schur_expand_trivial_and_errors():
-    assert schur_expand(fundamental_qsym(frozenset(), 2, 2)) == {(2,): 1}
+    assert ev.schur_expand(fundamental_qsym(frozenset(), 2, 2)) == {(2,): 1}
     skew = QSymMonomialVector(2, 2, {(2, 0): 1})
+    assert not ev.is_symmetric(skew)
+    with pytest.raises(NotSymmetricError):
+        ev.schur_expand(skew)
+    with pytest.raises(InvalidParameterError):
+        ev.schur_expand(QSymMonomialVector(3, 2, {(2, 1): 1, (1, 2): 1}))
+    # the composition route: F of the empty descent set is h_2 = s_2
+    assert schur_expand(F_of_set([w("1 1")], natural_order(1))) == {(2,): 1}
+    skew = QSymVector(3, {cut_set((2, 1)): 1})
     assert not is_symmetric(skew)
     with pytest.raises(NotSymmetricError):
         schur_expand(skew)
+    # degree 3 has cut positions 1 and 2 only
     with pytest.raises(InvalidParameterError):
-        schur_expand(QSymMonomialVector(3, 2, {(2, 1): 1, (1, 2): 1}))
+        QSymVector(3, {4: 1})
+    with pytest.raises(InvalidParameterError):
+        QSymVector(0, {1: 1})
+
+
+def test_compositions_and_cut_sets():
+    assert composition(0, 0) == () and cut_set(()) == 0
+    assert composition(0, 4) == (4,) and cut_set((4,)) == 0
+    # cuts at positions 1 and 4: the parts 1, 3, 2
+    assert cut_set((1, 3, 2)) == 0b1001 and composition(0b1001, 6) == (1, 3, 2)
+    assert composition(0b11111, 6) == (1,) * 6
+    for degree in range(1, 8):
+        seen = set()
+        for cuts in range(1 << (degree - 1)):
+            parts = composition(cuts, degree)
+            assert sum(parts) == degree and all(parts) and cut_set(parts) == cuts
+            seen.add(parts)
+        assert len(seen) == 1 << (degree - 1)
 
 
 def _rearrangements(exps, nvars):
@@ -174,14 +207,47 @@ def test_is_symmetric_matches_orbit_enumeration():
             variants += [QSymMonomialVector(degree, nvars, missing), QSymMonomialVector(degree, nvars, changed)]
         for candidate in variants:
             expected = _is_symmetric_by_orbits(candidate)
-            assert is_symmetric(candidate) == expected
+            assert ev.is_symmetric(candidate) == expected
             verdicts[expected] += 1
     assert verdicts[True] > 100 and verdicts[False] > 100
     # degree 0: the constant is symmetric in any number of variables
     for nvars in (1, 3):
         constant = QSymMonomialVector(0, nvars, {(0,) * nvars: 7})
-        assert is_symmetric(constant) and _is_symmetric_by_orbits(constant)
-        assert schur_expand(constant) == {(): 7}
+        assert ev.is_symmetric(constant) and _is_symmetric_by_orbits(constant)
+        assert ev.schur_expand(constant) == {(): 7}
+    constant = QSymVector(0, {0: 7})
+    assert is_symmetric(constant) and schur_expand(constant) == {(): 7}
+
+
+def _monomial_symmetric(mu):
+    """The cut sets of every rearrangement of mu: m_mu in the monomial
+    quasisymmetric basis."""
+    return {cut_set(alpha) for alpha in permutations(mu)}
+
+
+def test_is_symmetric_on_compositions_matches_exponent_vectors():
+    rng = random.Random(13)
+    verdicts = {True: 0, False: 0}
+    for _ in range(300):
+        degree = rng.randint(1, 6)
+        coeffs = {}
+        for mu in partitions_of(degree):
+            if rng.random() < 0.5:
+                coeffs.update(dict.fromkeys(_monomial_symmetric(mu), rng.choice([-3, -1, 1, 2, 5])))
+        variants = [QSymVector(degree, coeffs)]
+        if coeffs:
+            cuts = rng.choice(sorted(coeffs))
+            missing = dict(coeffs)
+            del missing[cuts]
+            changed = dict(coeffs)
+            changed[cuts] += rng.choice([-1, 1, 2])
+            variants += [QSymVector(degree, missing), QSymVector(degree, changed)]
+        for candidate in variants:
+            verdict = is_symmetric(candidate)
+            for nvars in (degree, degree + 1):
+                assert ev.is_symmetric(in_variables(candidate, nvars)) == verdict
+            verdicts[verdict] += 1
+    assert verdicts[True] > 100 and verdicts[False] > 100
 
 
 def test_schur_expand_recovers_random_combinations():
@@ -193,8 +259,18 @@ def test_schur_expand_recovers_random_combinations():
                 vec = QSymMonomialVector(n, nvars)
                 for nu, c in expected.items():
                     vec.add_inplace(QSymMonomialVector(n, nvars, schur_monomials(nu, nvars)), c)
-                assert is_symmetric(vec)
-                assert schur_expand(vec) == expected
+                assert ev.is_symmetric(vec)
+                assert ev.schur_expand(vec) == expected
+                # the same combination in the monomial quasisymmetric basis
+                coeffs = {}
+                for nu, c in expected.items():
+                    for mu in partitions_of(n):
+                        for cuts in _monomial_symmetric(mu):
+                            coeffs[cuts] = coeffs.get(cuts, 0) + c * kostka(nu, mu)
+                on_compositions = QSymVector(n, coeffs)
+                assert in_variables(on_compositions, nvars) == vec
+                assert is_symmetric(on_compositions)
+                assert schur_expand(on_compositions) == expected
 
 
 def test_fundamental_qsym_returns_a_fresh_vector():
@@ -202,13 +278,29 @@ def test_fundamental_qsym_returns_a_fresh_vector():
     q.add_inplace(q)
     assert q.coeffs == {(2, 0): 2, (1, 1): 2, (0, 2): 2}
     assert fundamental_qsym(frozenset(), 2, 2).coeffs == {(2, 0): 1, (1, 1): 1, (0, 2): 1}
-    assert F_of_set([w("1 1")], natural_order(1), nvars=2).coeffs == {(2, 0): 1, (1, 1): 1, (0, 2): 1}
+    assert in_variables(F_of_set([w("1 1")], natural_order(1)), 2).coeffs == {(2, 0): 1, (1, 1): 1, (0, 2): 1}
 
 
 def test_schur_monomials_is_kostka():
     # columns of the transition matrix are Kostka numbers
     mono = schur_monomials((2, 1), 3)
     assert mono[(2, 1, 0)] == 1 and mono[(1, 1, 1)] == 2
+    assert kostka((2, 1), (2, 1)) == 1 and kostka((2, 1), (1, 1, 1)) == 2
+    assert kostka((2, 1), (3,)) == 0 and kostka((), ()) == 1 and kostka((1,), ()) == 0
+    # content need not be a partition, and zero parts add no entries
+    assert kostka((2, 1), (1, 2)) == 1 and kostka((2, 1), (1, 0, 2)) == 1
+
+
+def test_kostka_matches_tableau_enumeration():
+    checked = 0
+    for n in range(0, 9):
+        shapes = partitions_of(n)
+        for nu in shapes:
+            monomials = schur_monomials(nu, n)
+            for mu in shapes:
+                assert kostka(nu, mu) == monomials.get(mu + (0,) * (n - len(mu)), 0), (nu, mu)
+                checked += 1
+    assert checked == sum(len(partitions_of(n)) ** 2 for n in range(9))
 
 
 def test_schur_monomials_cannot_be_mutated():
@@ -221,7 +313,7 @@ def test_schur_monomials_cannot_be_mutated():
             del mono[(0,) * nvars]
         assert not hasattr(mono, "clear")
     assert schur_monomials((2, 1), 3)[(1, 1, 1)] == 2
-    assert schur_expand(QSymMonomialVector(3, 3, schur_monomials((2, 1), 3))) == {(2, 1): 1}
+    assert ev.schur_expand(QSymMonomialVector(3, 3, schur_monomials((2, 1), 3))) == {(2, 1): 1}
 
 
 def test_component_expansions_golden():
@@ -339,8 +431,9 @@ def test_single_plactic_class_counts():
 
 def test_F_of_poly_weights():
     nat = natural_order(1)
-    vec = F_of_poly({w("1"): 2, w("1'"): -2}, nat, nvars=2)
+    vec = in_variables(F_of_poly({w("1"): 2, w("1'"): -2}, nat), 2)
     assert not vec.coeffs
+    assert vec == ev.F_of_poly({w("1"): 2, w("1'"): -2}, nat, nvars=2)
 
 
 def _F_of_poly_reference(terms, order, nvars=None):
@@ -362,7 +455,7 @@ def _schur_expand_reference(vec):
     left to find the lead and subtracts the whole Schur polynomial."""
     if vec.nvars < vec.degree and vec.degree > 0:
         raise InvalidParameterError("need at least as many variables as the degree")
-    if not is_symmetric(vec):
+    if not ev.is_symmetric(vec):
         raise NotSymmetricError("vector is not symmetric")
     residue = dict(vec.coeffs)
     out = {}
@@ -381,15 +474,24 @@ def _schur_expand_reference(vec):
 
 
 def _assert_matches_references(terms, order, nvars=None):
-    vec = F_of_poly(terms, order, nvars)
+    """The composition route against the exponent-vector route in nvars
+    variables, and that against the word-by-word references."""
+    vec = ev.F_of_poly(terms, order, nvars)
     assert vec == _F_of_poly_reference(terms, order, nvars)
+    on_compositions = F_of_poly(terms, order)
+    assert in_variables(on_compositions, vec.nvars) == vec
     try:
         expected = _schur_expand_reference(vec)
     except (InvalidParameterError, NotSymmetricError) as exc:
         with pytest.raises(type(exc)):
-            schur_expand(vec)
+            ev.schur_expand(vec)
+        if vec.nvars >= vec.degree:
+            # enough variables to see every composition: both routes refuse
+            with pytest.raises(NotSymmetricError):
+                schur_expand(on_compositions)
         return None
-    assert schur_expand(vec) == expected
+    assert ev.schur_expand(vec) == expected
+    assert schur_expand(on_compositions) == expected
     return expected
 
 
@@ -425,13 +527,19 @@ def test_F_of_poly_cancels_inside_one_descent_set():
     terms = {w("1 1 2"): 3, w("1 2 2"): -1, w("1 1' 2"): -2}
     assert {descent_set(word, nat) for word in terms} == {frozenset()}
     for nvars in (None, 2, 5):
-        vec = F_of_poly(terms, nat, nvars)
+        vec = ev.F_of_poly(terms, nat, nvars)
         assert not vec and vec.coeffs == {}
         assert vec == _F_of_poly_reference(terms, nat, nvars)
         if vec.nvars >= vec.degree:
-            assert schur_expand(vec) == {}
+            assert ev.schur_expand(vec) == {}
+    on_compositions = F_of_poly(terms, nat)
+    assert not on_compositions and on_compositions.coeffs == {}
+    assert schur_expand(on_compositions) == {}
     # weights cancelling across two descent sets leave both sets' terms
-    assert F_of_poly({w("1 2"): 1, w("2 1"): -1}, nat) == _F_of_poly_reference({w("1 2"): 1, w("2 1"): -1}, nat)
+    crossed = {w("1 2"): 1, w("2 1"): -1}
+    assert ev.F_of_poly(crossed, nat) == _F_of_poly_reference(crossed, nat)
+    assert in_variables(F_of_poly(crossed, nat), 2) == _F_of_poly_reference(crossed, nat)
+    assert F_of_poly(crossed, nat).coeffs == {0: 1}
 
 
 def test_F_and_schur_match_references_at_every_number_of_variables():
@@ -446,10 +554,13 @@ def test_F_and_schur_match_references_at_every_number_of_variables():
                 # symmetric input: every word of the degree, each once
                 _assert_matches_references(dict.fromkeys(words, 1), order, nvars)
     # degree 0: the empty word alone, and no word at all
-    assert F_of_poly({(): 4}, natural_order(1), nvars=3).coeffs == {(0, 0, 0): 4}
-    assert schur_expand(F_of_poly({(): 4}, natural_order(1), nvars=3)) == {(): 4}
-    empty = F_of_poly({}, natural_order(1))
+    assert ev.F_of_poly({(): 4}, natural_order(1), nvars=3).coeffs == {(0, 0, 0): 4}
+    assert in_variables(F_of_poly({(): 4}, natural_order(1)), 3).coeffs == {(0, 0, 0): 4}
+    assert ev.schur_expand(ev.F_of_poly({(): 4}, natural_order(1), nvars=3)) == {(): 4}
+    assert schur_expand(F_of_poly({(): 4}, natural_order(1))) == {(): 4}
+    empty = ev.F_of_poly({}, natural_order(1))
     assert empty == _F_of_poly_reference({}, natural_order(1)) and not empty
+    assert in_variables(F_of_poly({}, natural_order(1)), 1) == empty and not F_of_poly({}, natural_order(1))
 
 
 def test_schur_expand_checks_symmetry_before_peeling():
@@ -461,8 +572,29 @@ def test_schur_expand_checks_symmetry_before_peeling():
         (2, 3, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 2}),
     ):
         vec = QSymMonomialVector(degree, nvars, coeffs)
-        assert not is_symmetric(vec)
+        assert not ev.is_symmetric(vec)
         with pytest.raises(NotSymmetricError):
-            schur_expand(vec)
+            ev.schur_expand(vec)
         with pytest.raises(NotSymmetricError):
             _schur_expand_reference(vec)
+    # the same on compositions: right on every partition, missing or wrong
+    # on a rearrangement
+    for degree, parts in (
+        (3, {(2, 1): 1}),
+        (3, {(2, 1): 1, (1, 2): 2}),
+        (4, {(3, 1): 1, (1, 3): 1, (2, 1, 1): 1}),
+        (4, {(2, 2): 1, (1, 1, 1, 1): 3, (2, 1, 1): -1, (1, 2, 1): -1}),
+    ):
+        vec = QSymVector(degree, {cut_set(alpha): c for alpha, c in parts.items()})
+        assert not is_symmetric(vec)
+        assert not ev.is_symmetric(in_variables(vec, degree))
+        with pytest.raises(NotSymmetricError):
+            schur_expand(vec)
+
+
+def test_composition_route_matches_tableaux_at_nine_boxes():
+    words = enumerate_cyw((3, 3, 2, 1), 3)
+    order = natural_order(4)
+    expansion = schur_expand(F_of_set(words, order))
+    assert expansion == schur_expand_by_tableaux(words, order)
+    assert sum(expansion.values()) == 91

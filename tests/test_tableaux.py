@@ -105,7 +105,7 @@ def test_restricted_shape_validation():
     assert [row_lengths[r] for r in sorted(row_lengths)] == [1, 2, 5, 6, 3, 1]
     # equality is by box set, whatever pair presents it
     again = RestrictedShape(shape.boxes)
-    assert shape == again and shape.serialize() == again.serialize()
+    assert shape == again and list(shape.column_intervals) == list(again.column_intervals)
     with pytest.raises(MalformedInputError):
         RestrictedShape({(1, 2)})  # occupied columns must start at 1
     with pytest.raises(MalformedInputError):
