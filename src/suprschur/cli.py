@@ -14,6 +14,7 @@ import json
 import sys
 
 from .alphabet_words import (
+    ShuffleOrder,
     enumerate_cyw,
     natural_order,
     parse_order,
@@ -58,11 +59,14 @@ def _emit(payload: dict, pretty_lines: list[str] | None, pretty: bool) -> None:
         print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _infer_N(args, *words) -> int:
-    if getattr(args, "N", None):
-        return args.N
-    values = [x.value for w in words for x in w]
-    return max(values) if values else 1
+def _parse_order(text: str, args, *words) -> ShuffleOrder:
+    """The order named by text over 1..N, with N from --N or else the largest
+    letter of the words; a letter above the order's N is malformed input."""
+    top = max((x.value for w in words for x in w), default=1)
+    order = parse_order(text, args.N or top)
+    if top > order.N:
+        raise MalformedInputError(f"letter {top} is outside the alphabet 1..{order.N} of the order")
+    return order
 
 
 def _cmd_kron(args) -> int:
@@ -161,8 +165,7 @@ def _cmd_switchboard(args) -> int:
 
 def _cmd_insert(args) -> int:
     word = parse_word(args.word)
-    order = parse_order(args.order, _infer_N(args, word))
-    tab = insert(word, order)
+    tab = insert(word, _parse_order(args.order, args, word))
     payload = {"word": word_str(word), "tableau": tab.to_text().splitlines()}
     _emit(payload, tab.to_text().splitlines(), args.pretty)
     return 0
@@ -171,7 +174,7 @@ def _cmd_insert(args) -> int:
 def _cmd_sqread(args) -> int:
     text = args.tableau
     rows = [parse_word(part) for part in text.replace("/", "\n").splitlines() if part.strip()]
-    order = parse_order(args.order, _infer_N(args, *rows))
+    order = _parse_order(args.order, args, *rows)
     tab = ColoredTableau.from_rows(rows, order)
     if not validate_tableau(tab):
         raise MalformedInputError("not a valid colored tableau for the order")
@@ -182,19 +185,15 @@ def _cmd_sqread(args) -> int:
 
 def _cmd_convert_word(args) -> int:
     word = parse_word(args.word)
-    N = _infer_N(args, word)
-    frm = parse_order(args.frm, N)
-    to = parse_order(args.to, N)
-    out = word_convert(word, frm, to)
+    out = word_convert(word, _parse_order(args.frm, args, word), _parse_order(args.to, args, word))
     _emit({"word": word_str(word), "converted": word_str(out)}, [word_str(out)], args.pretty)
     return 0
 
 
 def _cmd_convert_tableau(args) -> int:
     rows = [parse_word(part) for part in args.tableau.replace("/", "\n").splitlines() if part.strip()]
-    N = _infer_N(args, *rows)
-    frm = parse_order(args.frm, N)
-    to = parse_order(args.to, N)
+    frm = _parse_order(args.frm, args, *rows)
+    to = _parse_order(args.to, args, *rows)
     out = convert(ColoredTableau.from_rows(rows, frm), frm, to)
     _emit({"tableau": out.to_text().splitlines()}, out.to_text().splitlines(), args.pretty)
     return 0
@@ -345,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-degree", type=int, default=6)
     p.add_argument("--max-alpha", type=int, default=4)
     p.add_argument("--box", type=int, default=3)
-    p.set_defaults(func=_cmd_verify)
+    p.set_defaults(func=_cmd_verify, N=2)
 
     return parser
 
@@ -353,8 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "verb", None) == "verify" and not args.N:
-        args.N = 2
     try:
         return args.func(args)
     except (InvalidParameterError, MalformedInputError) as exc:

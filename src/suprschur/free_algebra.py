@@ -285,11 +285,13 @@ def _far_pairs(N: int) -> list[tuple[ColoredWord, ColoredWord]]:
     return out
 
 
-def _mixed_pairs(N: int) -> list[tuple[ColoredWord, ColoredWord]]:
+def _near_mixed_pairs(N: int) -> list[tuple[ColoredWord, ColoredWord]]:
+    """xz = zx for x unbarred and z barred with codes less than 3 apart; the
+    other mixed pairs are far pairs."""
     out = []
     for x in _letters(N):
         for z in _letters(N):
-            if not x.barred and z.barred:
+            if not x.barred and z.barred and abs(z.code - x.code) < 3:
                 out.append(((x, z), (z, x)))
     return out
 
@@ -304,14 +306,7 @@ def binary_pairs(spec: IdealSpec) -> list[tuple[ColoredWord, ColoredWord]]:
     if spec.family == "kronknuth":
         return _super_knuth_doubles(nat) + _knuth_triples(nat, min_gap=3)
     # jshuffle: commute every unbarred letter past every barred one, plus far pairs
-    seen = set()
-    pairs = []
-    for pair in _super_knuth_doubles(nat) + _far_pairs(spec.N) + _mixed_pairs(spec.N):
-        key = frozenset(pair)
-        if key not in seen:
-            seen.add(key)
-            pairs.append(pair)
-    return pairs
+    return _super_knuth_doubles(nat) + _far_pairs(spec.N) + _near_mixed_pairs(spec.N)
 
 
 def rotation_triples(spec: IdealSpec) -> list[tuple[Letter, Letter, Letter]]:

@@ -1,12 +1,11 @@
 """Kronecker coefficients: character-theoretic oracle and the hook rules.
 
-The oracle computes symmetric group characters by the Murnaghan-Nakayama
-recursion (via first-column hook lengths) and averages triple products over
-conjugacy classes.  The character table keeps each character as a row
-vector over the classes, so a coefficient is one pass over four rows: the
-class sizes and the three characters.  The hook rules count colored tableaux
-of shape nu whose diagonal reading word is a colored Yamanouchi word of
-content lam.
+The oracle averages triple products of characters over conjugacy classes.
+The cached character tables of S_n are the one store of character values.
+Each keeps a character as a row over the classes, filled by the
+Murnaghan-Nakayama rule from the tables of smaller n, so a coefficient is one
+pass over four rows.  The hook rules count colored tableaux of shape nu whose
+diagonal reading word is a colored Yamanouchi word of content lam.
 
 The count is a direct fill, not a search over words.  A box's west and south
 neighbours lie on the diagonal read just before it, so filling nu diagonal by
@@ -39,34 +38,6 @@ from .tableaux import check_partition, insert, partitions_of, sqread  # noqa: F4
 ORACLE_BUDGET = 18
 
 
-@lru_cache(maxsize=None)
-def _char(lam: tuple[int, ...], rho: tuple[int, ...]) -> int:
-    """Character value via border strip removal on first-column hook lengths."""
-    if not lam:
-        return 1 if not rho else 0
-    k = rho[0]
-    rest = rho[1:]
-    length = len(lam)
-    beta = [lam[i] + (length - 1 - i) for i in range(length)]
-    beta_set = set(beta)
-    total = 0
-    for i, b in enumerate(beta):
-        nb = b - k
-        if nb < 0 or nb in beta_set:
-            continue
-        height = sum(1 for other in beta if nb < other < b)
-        new_beta = sorted(beta, reverse=True)
-        new_beta[new_beta.index(b)] = nb
-        new_beta.sort(reverse=True)
-        new_lam = tuple(
-            part
-            for j, value in enumerate(new_beta)
-            if (part := value - (length - 1 - j)) > 0
-        )
-        total += (-1) ** height * _char(new_lam, rest)
-    return total
-
-
 def class_size(rho: Sequence[int]) -> int:
     rho = tuple(rho)
     z = 1
@@ -79,33 +50,61 @@ def class_size(rho: Sequence[int]) -> int:
     return factorial(sum(rho)) // z
 
 
+def _border_strips(lam: tuple[int, ...], k: int):
+    """(sign, lam less the strip) for each border strip of size k.  A strip moves
+    a first-column hook length b to a free b - k >= 0; each one it passes flips the sign."""
+    beta = [part + len(lam) - i for i, part in enumerate(lam, 1)]
+    for b in beta:
+        if b < k or b - k in beta:
+            continue
+        moved = sorted((b - k if other == b else other for other in beta), reverse=True)
+        rest = tuple(part for j, value in enumerate(moved, 1) if (part := value - len(lam) + j) > 0)
+        yield (-1) ** sum(b - k < other < b for other in beta), rest
+
+
 class CharacterTable:
     """Exact character table of the symmetric group on n letters.
 
     Each character is one row, a tuple over the classes in the order of
-    ``partitions``; ``sizes`` holds the class sizes in the same order, and
-    ``chi`` reads one entry off a row."""
+    ``partitions``; ``sizes`` holds the class sizes and ``index`` the column
+    of each class.  Column rho of row lam sums the rows of the table for
+    n - rho[0] at column rho[1:] over the signed border strips of size rho[0]."""
 
     def __init__(self, n: int):
         self.n = n
         self.partitions = partitions_of(n)
         self.sizes = tuple(class_size(rho) for rho in self.partitions)
-        self.rows = {lam: tuple(_char(lam, rho) for rho in self.partitions) for lam in self.partitions}
+        self.index = {rho: i for i, rho in enumerate(self.partitions)}
+        self.rows = {(): (1,)}
+        if n:
+            columns: dict[int, list[int]] = {}
+            for rho in self.partitions:
+                columns.setdefault(rho[0], []).append(character_table(n - rho[0]).index[rho[1:]])
+            self.rows = {}
+            for lam in self.partitions:
+                row = []
+                for k, cols in columns.items():
+                    rows = character_table(n - k).rows
+                    strips = [(sign, rows[rest]) for sign, rest in _border_strips(lam, k)]
+                    row.extend(sum(sign * values[c] for sign, values in strips) for c in cols)
+                self.rows[lam] = tuple(row)
 
     def chi(self, lam: Sequence[int], rho: Sequence[int]) -> int:
-        return self.rows[tuple(lam)][self.partitions.index(tuple(rho))]
+        return self.rows[tuple(lam)][self.index[tuple(rho)]]
 
 
 @lru_cache(maxsize=None)
 def character_table(n: int) -> CharacterTable:
-    if not 1 <= n <= ORACLE_BUDGET:
+    if n < 0:
+        raise InvalidParameterError("a character table needs n >= 0")
+    if n > ORACLE_BUDGET:
         raise ResourceLimitError(f"character table budget is n <= {ORACLE_BUDGET}", required=n)
     return CharacterTable(n)
 
 
 def _same_size(*parts: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """The arguments, lam first, as partitions of one size n >= 1; n = 0 has
-    no hook shape and no character table, so it is refused here, not later."""
+    no hook shape, so it is refused here, not later."""
     parts = tuple(map(check_partition, parts))
     n = sum(parts[0])
     if not n:

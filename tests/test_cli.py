@@ -135,6 +135,18 @@ def test_usage_errors(capsys):
     # a malformed partition is bad input, not a failed identity
     assert main(["kron", "--lambda", "3,,1", "--mu-hook-d", "1", "--nu", "2,1"]) == 2
     assert main(["verify", "jnu", "--nu", "2,x"]) == 2
+    # a letter outside the alphabet of the order
+    assert main(["insert", "--word", "1 3", "--N", "2"]) == 2
+    assert main(["sqread", "--tableau", "1 3", "--N", "2"]) == 2
+    assert main(["insert", "--word", "1 3", "--order", "explicit:\"1 1' 2 2'\""]) == 2
+    assert main(["convert-word", "--word", "1 3", "--from", "natural", "--to", "bigbar", "--N", "2"]) == 2
+
+
+def test_verify_takes_n_as_given(capsys):
+    code, out = run(capsys, "verify", "flagged", "--max-alpha", "1", "--box", "2")
+    assert code == 0 and json.loads(out)["N"] == 2
+    code, out = run(capsys, "verify", "flagged", "--max-alpha", "1", "--box", "2", "--N", "0")
+    assert code == 2 and out == ""
 
 
 def test_empty_partition_is_a_usage_error(capsys):

@@ -452,6 +452,28 @@ def test_generator_families():
     assert (w("1 1'"), w("1' 1")) in pairs or (w("1' 1"), w("1 1'")) in pairs
 
 
+def _jshuffle_pairs_reference(N):
+    """The super Knuth doubles, the far pairs and every mixed pair, with a
+    pair already listed (in either orientation) dropped."""
+    letters = [letter_from_code(c) for c in range(2 * N)]
+    doubles = [pair for pair in binary_pairs(kron_ideal(N)) if len(pair[0]) == 3]
+    far = [((x, z), (z, x)) for x in letters for z in letters if z.code - x.code >= 3]
+    mixed = [((x, z), (z, x)) for x in letters for z in letters if not x.barred and z.barred]
+    seen = set()
+    pairs = []
+    for pair in doubles + far + mixed:
+        if frozenset(pair) not in seen:
+            seen.add(frozenset(pair))
+            pairs.append(pair)
+    return pairs
+
+
+def test_jshuffle_pairs_match_deduplicated_reference():
+    for N, count in zip(range(1, 5), (3, 16, 41, 78)):
+        pairs = binary_pairs(jshuffle_ideal(N))
+        assert pairs == _jshuffle_pairs_reference(N) and len(pairs) == count, N
+
+
 def test_ideal_degree_basis_examples():
     assert ideal_degree_basis(kron_ideal(1), 2) == []
     plac = plac_ideal(natural_order(2))

@@ -1,3 +1,4 @@
+from functools import lru_cache
 from itertools import permutations
 from math import factorial
 
@@ -28,6 +29,48 @@ def test_character_table_known_values():
     assert table.chi((2, 1), (1, 1, 1)) == 2
     assert table.chi((2, 1), (2, 1)) == 0
     assert table.chi((2, 1), (3,)) == -1
+
+
+@lru_cache(maxsize=None)
+def _char_reference(lam, rho):
+    """One character value by border strip removal on first-column hook
+    lengths, recursing on (lam less a strip, rho without its first part)
+    and caching every pair."""
+    if not lam:
+        return 1 if not rho else 0
+    k = rho[0]
+    rest = rho[1:]
+    length = len(lam)
+    beta = [lam[i] + (length - 1 - i) for i in range(length)]
+    beta_set = set(beta)
+    total = 0
+    for b in beta:
+        nb = b - k
+        if nb < 0 or nb in beta_set:
+            continue
+        height = sum(1 for other in beta if nb < other < b)
+        new_beta = sorted(beta, reverse=True)
+        new_beta[new_beta.index(b)] = nb
+        new_beta.sort(reverse=True)
+        new_lam = tuple(part for j, value in enumerate(new_beta) if (part := value - (length - 1 - j)) > 0)
+        total += (-1) ** height * _char_reference(new_lam, rest)
+    return total
+
+
+def test_rows_match_the_pair_recursion():
+    for n in range(13):
+        table = character_table(n)
+        reference = {lam: tuple(_char_reference(lam, rho) for rho in table.partitions) for lam in table.partitions}
+        assert table.rows == reference, n
+        assert all(table.chi(lam, rho) == _char_reference(lam, rho) for lam in reference for rho in reference), n
+
+
+def test_trivial_and_negative_tables():
+    table = character_table(0)
+    assert (table.n, table.partitions, table.sizes, table.rows) == (0, ((),), (1,), {(): (1,)})
+    assert table.chi((), ()) == 1
+    with pytest.raises(InvalidParameterError):
+        character_table(-1)
 
 
 def _is_orthogonal(table):
@@ -179,8 +222,8 @@ def test_g_sum_oracle_refuses_what_the_rule_refuses():
 
 
 def test_empty_partition_is_refused_not_answered():
-    # n = 0 has no hook shape and no character table: a usage error, neither
-    # a coefficient nor a resource limit
+    # n = 0 has no hook shape: a usage error, neither a coefficient nor a
+    # resource limit
     for call in (
         lambda: g_hook_rule((), 0, ()),
         lambda: g_sum_rule((), 0, ()),
