@@ -28,8 +28,10 @@ content that sorts first is built; the other is a ``_MirroredSpace`` over
 it, and the one cache of spaces, ``_content_space``, holds both.
 
 Every two-term generator of these families swaps two adjacent letters.
-``linked_by_moves`` joins a list of words by those swaps alone, within the
-list, and so shows many words congruent without building a content space.
+``swap_moves`` lists those swaps, and ``swap_pairs`` the ones that are a
+move whatever the letters around them.  Words joined by such moves are
+congruent, which the reading-word congruence check uses to settle most
+tableaux without building a content space.
 """
 
 from __future__ import annotations
@@ -363,43 +365,6 @@ def swap_pairs(spec: IdealSpec) -> frozenset[tuple[Letter, Letter]]:
     the two-letter windows of ``swap_moves``.  Such a swap is a move in
     every word, whatever the letters around it."""
     return frozenset(u for u, _ in swap_moves(spec) if len(u) == 2)
-
-
-def linked_by_moves(spec: IdealSpec, words: Sequence[ColoredWord]) -> bool:
-    """Whether every word of the list is reached from the first by swaps of
-    two adjacent letters that are padded two-term generators, passing only
-    through words of the list.
-
-    If ``x`` is ``w`` with a window ``u`` replaced by ``v`` and ``u - v`` is
-    a generator, then ``w - x = left·(u - v)·right`` lies in the ideal; so
-    ``True`` means all the words are congruent.  ``False`` decides nothing.
-    Stops as soon as the last word is reached.
-    """
-    unreached = set(words)
-    unreached.discard(words[0])
-    if not unreached:
-        return True
-    moves = swap_moves(spec)
-    frontier = [words[0]]
-    while frontier:
-        w = frontier.pop()
-        n = len(w)
-        for p in range(n - 1):
-            a, b = w[p], w[p + 1]
-            if a == b:
-                continue
-            x = w[:p] + (b, a) + w[p + 2 :]
-            # the swapped pair alone, or in a triple with one letter on either side
-            if x in unreached and (
-                ((a, b), 0) in moves
-                or (p + 3 <= n and (w[p : p + 3], 0) in moves)
-                or (p and (w[p - 1 : p + 2], 1) in moves)
-            ):
-                unreached.remove(x)
-                if not unreached:
-                    return True
-                frontier.append(x)
-    return False
 
 
 def _padded_generators(

@@ -11,7 +11,7 @@ is the special case where every column starts at row 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -345,46 +345,118 @@ def tableaux_with_sqread_in(words: Iterable[ColoredWord], order: ShuffleOrder) -
     return out
 
 
-def _letter_fillings(ordered: Sequence[Box], order: ShuffleOrder, max_letter: Letter) -> Iterator[tuple[Letter, ...]]:
-    """All valid fillings of the boxes, given in lexicographic order, with
-    entries at most max_letter: each a tuple of letters in box order.
+class _FillingWalk:
+    """The valid fillings of box sets for one order, with entries at most
+    max_letter.  The letter tables are built once, here, and serve every
+    box set walked.
 
-    Depth first, the letters of each box in rank order, so the fillings come
-    in lexicographic order of their letter ranks.  The prefixes wait on an
+    A walk goes depth first over the boxes in lexicographic order, the
+    letters of each box in rank order, so the fillings come in
+    lexicographic order of their letter ranks.  The prefixes wait on an
     explicit stack, and the last box extends its prefix straight into the
     output.
     """
-    if not ordered:
-        yield ()
-        return
-    letters = tuple(x for x in order.letters if order.rank(x) <= order.rank(max_letter))
-    # The letters allowed east of x and south of x.  Each is a suffix of the
-    # letters in rank order, so the letters both neighbours allow are the
-    # shorter of their two suffixes.
-    east_of = {x: tuple(y for y in letters if order.lerow(x, y)) for x in letters}
-    south_of = {x: tuple(y for y in letters if order.lecol(x, y)) for x in letters}
-    both = {(w, n): min(east_of[w], south_of[n], key=len) for w in letters for n in letters}
-    index = {box: i for i, box in enumerate(ordered)}
-    # per box: its west and north neighbours' indices, or None
-    neighbours = [(index.get((r, c - 1)), index.get((r - 1, c))) for r, c in ordered]
-    last = len(ordered) - 1
-    stack: list[tuple[Letter, ...]] = [()]
-    while stack:
-        prefix = stack.pop()
-        i = len(prefix)
-        west, north = neighbours[i]
-        if west is None:
-            choices = letters if north is None else south_of[prefix[north]]
-        elif north is None:
-            choices = east_of[prefix[west]]
-        else:
-            choices = both[prefix[west], prefix[north]]
-        if i == last:
-            for x in choices:
-                yield prefix + (x,)
-        else:
-            # reversed, so that the stack pops the smallest letter first
-            stack.extend([prefix + (x,) for x in reversed(choices)])
+
+    def __init__(self, order: ShuffleOrder, max_letter: Letter):
+        alphabet = tuple(x for x in order.letters if order.rank(x) <= order.rank(max_letter))
+        self.alphabet = alphabet
+        # The letters allowed east of x and south of x.  Each is a suffix of
+        # the letters in rank order, so the letters both neighbours allow
+        # are the shorter of their two suffixes.
+        self.east_of = {x: tuple(y for y in alphabet if order.lerow(x, y)) for x in alphabet}
+        self.south_of = {x: tuple(y for y in alphabet if order.lecol(x, y)) for x in alphabet}
+        self.both = {(w, n): min(self.east_of[w], self.south_of[n], key=len) for w in alphabet for n in alphabet}
+
+    @cached_property
+    def heads(self) -> dict[tuple[bool, bool], dict[Letter, tuple[Letter, int]]]:
+        """Per candidate flags ``(nw, se)``: each letter x of a northwest box
+        that can carry an arrow, with the southeast letter that makes it and
+        the arrow's kind (``_arrow``).  Only ``with_arrows`` reads them."""
+        alphabet = self.alphabet
+        return {
+            (nw, se): {x: (y, kind) for x in alphabet for y in alphabet if (kind := _arrow(x, y, nw, se))}
+            for nw in (False, True)
+            for se in (False, True)
+        }
+
+    @staticmethod
+    def _neighbours(ordered: Sequence[Box]) -> list[tuple[int | None, int | None]]:
+        """Per box, the indices of its west and north neighbours, or None."""
+        index = {box: i for i, box in enumerate(ordered)}
+        return [(index.get((r, c - 1)), index.get((r - 1, c))) for r, c in ordered]
+
+    def letters(self, ordered: Sequence[Box]) -> Iterator[tuple[Letter, ...]]:
+        """Every filling of the boxes, given in lexicographic order: each a
+        tuple of letters in box order."""
+        if not ordered:
+            yield ()
+            return
+        alphabet, east_of, south_of, both = self.alphabet, self.east_of, self.south_of, self.both
+        neighbours = self._neighbours(ordered)
+        last = len(ordered) - 1
+        stack: list[tuple[Letter, ...]] = [()]
+        while stack:
+            prefix = stack.pop()
+            i = len(prefix)
+            west, north = neighbours[i]
+            if west is None:
+                choices = alphabet if north is None else south_of[prefix[north]]
+            elif north is None:
+                choices = east_of[prefix[west]]
+            else:
+                choices = both[prefix[west], prefix[north]]
+            if i == last:
+                for x in choices:
+                    yield prefix + (x,)
+            else:
+                # reversed, so that the stack pops the smallest letter first
+                stack.extend([prefix + (x,) for x in reversed(choices)])
+
+    def with_arrows(self, layout: _Layout) -> Iterator[tuple[tuple[Letter, ...], int]]:
+        """The fillings of ``letters(layout[0])``, in the same order, each
+        with its arrows as one int: the kind of arrow (``_arrow``) that the
+        c-th candidate pair of the layout carries, at bits 2c and 2c + 1.
+
+        The arrows are added one box at a time: a candidate's southeast box
+        comes after its northwest box, so its arrow is decided when the
+        southeast box is filled.
+        """
+        ordered, _, candidates = layout
+        if not ordered:
+            yield (), 0
+            return
+        alphabet, east_of, south_of, both = self.alphabet, self.east_of, self.south_of, self.both
+        # per box, the candidates it ends: (the northwest box, {letter there:
+        # (the letter here that makes an arrow, its bits)})
+        ends: list[list[tuple[int, dict[Letter, tuple[Letter, int]]]]] = [[] for _ in ordered]
+        for c, (i, j, nw, se) in enumerate(candidates):
+            ends[j].append((i, {x: (y, kind << 2 * c) for x, (y, kind) in self.heads[nw, se].items()}))
+        neighbours = self._neighbours(ordered)
+        last = len(ordered) - 1
+        stack: list[tuple[tuple[Letter, ...], int]] = [((), 0)]
+        while stack:
+            prefix, arrows = stack.pop()
+            i = len(prefix)
+            # the choices of ``letters``, inline: a call per prefix would
+            # cost a quarter of the walk
+            west, north = neighbours[i]
+            if west is None:
+                choices = alphabet if north is None else south_of[prefix[north]]
+            elif north is None:
+                choices = east_of[prefix[west]]
+            else:
+                choices = both[prefix[west], prefix[north]]
+            hits: dict[Letter, int] = {}  # a letter here -> the arrows it makes
+            for corner, heads in ends[i]:
+                hit = heads.get(prefix[corner])
+                if hit is not None:
+                    y, bits = hit
+                    hits[y] = hits.get(y, 0) | bits
+            if i == last:
+                for x in choices:
+                    yield prefix + (x,), arrows | hits.get(x, 0)
+            else:
+                stack.extend([(prefix + (x,), arrows | hits.get(x, 0)) for x in reversed(choices)])
 
 
 def enumerate_fillings(shape: RestrictedShape, order: ShuffleOrder, max_letter: Letter) -> Iterator[ColoredTableau]:
@@ -392,7 +464,7 @@ def enumerate_fillings(shape: RestrictedShape, order: ShuffleOrder, max_letter: 
     ordered = _box_layout(shape.boxes)[0]
     boxes = shape.boxes
     wrap = ColoredTableau._wrap
-    for letters in _letter_fillings(ordered, order, max_letter):
+    for letters in _FillingWalk(order, max_letter).letters(ordered):
         # every box is filled, so the shape needs no check
         yield wrap(dict(zip(ordered, letters)), order, boxes)
 
@@ -408,11 +480,13 @@ def enumerate_tableaux(nu: Sequence[int], order: ShuffleOrder, max_letter: Lette
 #
 # One model answers every question here.  Per box set, ``_box_layout`` gives
 # each box's mask of the boxes southwest of it and the pairs of boxes that
-# can carry an arrow; per filling, ``_filling_preds`` adds the arrow tails to
-# those masks.  The arrows and the northeast-maximal and nontail removable
-# boxes are read off the masks, and the reading orders, their incomparable
-# pairs and the readers of the words are one record per mask tuple,
-# ``_order_facts``.
+# can carry an arrow.  ``_arrow`` decides which of those pairs carry one in
+# a filling; a filling's arrows are one int (``_filling_arrows``, or built box
+# by box in ``_FillingWalk.with_arrows``), and ``_arrow_preds`` adds their
+# tails to the masks.  The arrows and the northeast-maximal and nontail
+# removable boxes are read off the masks, and the reading orders, their
+# incomparable pairs, the swaps between them and the readers of the words
+# are one record per mask tuple, ``_order_facts``.
 
 
 @dataclass(frozen=True)
@@ -546,36 +620,65 @@ def is_arrow_respecting(tab: ColoredTableau, word: ColoredWord) -> bool:
     return False
 
 
-def _filling_preds(letters: Sequence[Letter], layout: _Layout) -> tuple[int, ...]:
-    """For each box of a filling, the bitmask of the boxes read before it:
-    its box set's southwest masks (from ``_box_layout``) plus the tail of
-    every arrow into it.  The letters are in box order.
+def _arrow(x: Letter, y: Letter, nw: bool, se: bool) -> int:
+    """The arrow a candidate pair ``(i, j, nw, se)`` of ``_box_layout``
+    carries with the letter x in its northwest box and y in its southeast
+    box: 1 for an arrow pointing northwest, from the southeast box; 2 for
+    one pointing southeast, from the northwest box; 0 for none.
 
     This is the one place that decides which candidate pairs carry an
     arrow: the letters must be consecutive values with one bar; unbarred
-    letters point northwest, from the southeast box, and barred letters
-    southeast, from the northwest box.
+    letters point northwest and barred letters southeast.
     """
+    # codes are 2*(value-1) + barred, so this is value + 1 with x's bar
+    if y != x + 2:
+        return 0
+    if x.barred:
+        return 2 if se else 0
+    return 1 if nw else 0
+
+
+def _filling_arrows(letters: Sequence[Letter], layout: _Layout) -> int:
+    """A filling's arrows as one int: the ``_arrow`` of the c-th candidate
+    pair of its layout at bits 2c and 2c + 1.  The letters are in box
+    order.  ``_FillingWalk.with_arrows`` builds the same int box by box."""
+    return sum(_arrow(letters[i], letters[j], nw, se) << 2 * c for c, (i, j, nw, se) in enumerate(layout[2]))
+
+
+def _arrow_preds(arrows: int, layout: _Layout) -> tuple[int, ...]:
+    """For each box, the bitmask of the boxes read before it: its box set's
+    southwest masks (from ``_box_layout``) plus the tail of every arrow
+    into it, for the arrows given as by ``_filling_arrows``."""
     _, southwest, candidates = layout
     preds = list(southwest)
-    for i, j, nw, se in candidates:
-        x = letters[i]
-        # codes are 2*(value-1) + barred, so this is value + 1 with x's bar
-        if letters[j] == x + 2:
-            if x.barred:
-                if se:
-                    preds[j] |= 1 << i
-            elif nw:
-                preds[i] |= 1 << j
+    for c, (i, j, _, _) in enumerate(candidates):
+        kind = arrows >> 2 * c & 3
+        if kind == 1:
+            preds[i] |= 1 << j
+        elif kind == 2:
+            preds[j] |= 1 << i
     return tuple(preds)
 
 
+def _filling_preds(letters: Sequence[Letter], layout: _Layout) -> tuple[int, ...]:
+    """The predecessor masks (``_arrow_preds``) of a filling, its letters in
+    box order."""
+    return _arrow_preds(_filling_arrows(letters, layout), layout)
+
+
+# one step between two orders: the other order's index, the two boxes
+# swapped, and the boxes just before and after them, or None
+_Edge = tuple[int, int, int, int | None, int | None]
+
+
 @lru_cache(maxsize=None)
-def _order_facts(preds: tuple[int, ...]) -> tuple[int, tuple[tuple[int, int], ...], tuple[itemgetter, ...]]:
-    """The number of orders of ``_linear_extensions(preds)``, the
+def _order_facts(
+    preds: tuple[int, ...],
+) -> tuple[int, tuple[tuple[int, int], ...], tuple[tuple[_Edge, ...], ...], tuple[itemgetter, ...]]:
+    """The number of orders of ``_linear_extensions(preds)``; the
     incomparable pairs ``(i, j)``, ``i < j``: the indices that no chain of
-    predecessor masks puts one before the other, and one reader per order
-    that reads letters in box order along it.
+    predecessor masks puts one before the other; per order, its edges; and
+    one reader per order that reads letters in box order along it.
 
     For the masks of a filling (``_filling_preds``), the count is also the
     number of its arrow-respecting reading words.  Two boxes with equal
@@ -590,7 +693,13 @@ def _order_facts(preds: tuple[int, ...]) -> tuple[int, tuple[tuple[int, int], ..
     gives back its order, and distinct readers read distinct words.
 
     The pairs are the swaps that join the orders: any two linear extensions
-    are joined by swaps of adjacent incomparable indices.
+    are joined by swaps of adjacent incomparable indices.  An order's edges
+    are those swaps, each as ``(other, i, j, before, after)``: the index of
+    the order it gives, the indices at positions p and p + 1, and those at
+    p - 1 and p + 2, or None past either end.  Swapping two distinct letters
+    keeps every letter's chain in sequence, so an edge changes the word
+    read by swapping its two adjacent letters, and every such swap of one
+    word into another of the list is an edge.
     """
     orders = _linear_extensions(preds)
     n = len(preds)
@@ -604,10 +713,25 @@ def _order_facts(preds: tuple[int, ...]) -> tuple[int, tuple[tuple[int, int], ..
     pairs = tuple(
         (i, j) for i in range(n) for j in range(i + 1, n) if not below[i] >> j & 1 and not below[j] >> i & 1
     )
+    index = {seq: k for k, seq in enumerate(orders)}
+    edges = tuple(
+        tuple(
+            (
+                index[seq[:p] + (j, i) + seq[p + 2 :]],
+                i,
+                j,
+                seq[p - 1] if p else None,
+                seq[p + 2] if p + 2 < n else None,
+            )
+            for p, (i, j) in enumerate(zip(seq, seq[1:]))
+            if not below[j] >> i & 1
+        )
+        for seq in orders
+    )
     # a getter of one index would return a bare letter; fewer than two
     # indices have one order, which reads the letters as they stand
     readers = tuple(itemgetter(*seq) for seq in orders) if n > 1 else (tuple,)
-    return len(orders), pairs, readers
+    return len(orders), pairs, edges, readers
 
 
 def _linear_extensions(preds: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
@@ -638,7 +762,7 @@ def arrow_respecting_words(tab: ColoredTableau) -> list[ColoredWord]:
     allow, sorted and distinct: equal letters form a chain of the poset, so
     distinct orders read distinct words (see ``_order_facts``)."""
     layout, letters = _layout_and_letters(tab)
-    _, _, readers = _order_facts(_filling_preds(letters, layout))
+    readers = _order_facts(_filling_preds(letters, layout))[3]
     return sorted(read(letters) for read in readers)
 
 

@@ -25,6 +25,7 @@ from .alphabet_words import (
     natural_order,
     word_str,
 )
+from .errors import InvalidParameterError
 from .free_algebra import (
     IdealSpec,
     J_augmented,
@@ -37,18 +38,18 @@ from .free_algebra import (
     ideal_contains,
     kron_ideal,
     kronknuth_ideal,
-    linked_by_moves,
     monomial_budget,
     perp_violation,
     plac_ideal,
+    swap_moves,
     swap_pairs,
 )
 from .tableaux import (
     ColoredTableau,
     RestrictedShape,
+    _arrow_preds,
     _box_layout,
-    _filling_preds,
-    _letter_fillings,
+    _FillingWalk,
     _order_facts,
     arrow_respecting_words,
     check_partition,
@@ -65,6 +66,13 @@ from .tableaux import (
 )
 
 
+def _check_bound(value: int, name: str) -> None:
+    """A size bound of a driver must be at least 0: a negative one would run
+    zero checks and report them as passed."""
+    if value < 0:
+        raise InvalidParameterError(f"{name} must be at least 0, got {value}")
+
+
 def _partition_range(max_size: int) -> list[tuple[int, ...]]:
     return [nu for n in range(1, max_size + 1) for nu in partitions_of(n)]
 
@@ -79,6 +87,7 @@ def _verify_reading_expansion(
 ) -> dict:
     """Membership of J_nu for the order minus the sum of the reading words
     ``read(T)`` over the colored tableaux T of shape nu, in the ideal."""
+    _check_bound(max_size, "max_size")
     top = order.max_letter()
     results = []
     for nu in (nu_list if nu_list is not None else _partition_range(max_size)):
@@ -120,6 +129,7 @@ def verify_commutation(ideal: IdealSpec, max_total: int, kind: str = "e") -> dic
     """Commutators of the elementary (or homogeneous) series lie in the ideal
     for all index pairs with k + l at most the bound."""
     order = ideal.order if ideal.order is not None else natural_order(ideal.N)
+    _check_bound(max_total, "max_total")
     series = e_k_order if kind == "e" else h_k_order
     results = []
     for k in range(1, max_total):
@@ -175,6 +185,7 @@ def conversion_bijection_holds(words: Iterable[ColoredWord]) -> bool:
 def verify_conversion_bijection(max_size: int, extra_sets: Sequence[Sequence[ColoredWord]] = ()) -> dict:
     """The conversion bijection on every colored Yamanouchi set up to the
     given size, plus any explicitly supplied shuffle-closed perp sets."""
+    _check_bound(max_size, "max_size")
     results = []
     for n in range(1, max_size + 1):
         for lam in partitions_of(n):
@@ -193,6 +204,7 @@ def verify_conversion_bijection(max_size: int, extra_sets: Sequence[Sequence[Col
 def verify_insertion_fixed_point(N: int, max_len: int) -> dict:
     """A word is a diagonal reading word of some colored tableau exactly when
     inserting it and reading back reproduces it."""
+    _check_bound(max_len, "max_len")
     order = natural_order(N)
     top = barred(N)
     checked = 0
@@ -211,6 +223,7 @@ def verify_insertion_fixed_point(N: int, max_len: int) -> dict:
 def verify_nontail_removable(box: int, N: int) -> dict:
     """Every restricted colored tableau inside the box has a nontail
     removable box."""
+    _check_bound(box, "box")
     order = natural_order(N)
     top = barred(N)
     checked = 0
@@ -222,68 +235,126 @@ def verify_nontail_removable(box: int, N: int) -> dict:
     return {"target": "nontail", "box": box, "N": N, "checked": checked, "ok": True}
 
 
+def _triple_swaps(ideal: IdealSpec) -> tuple[frozenset, frozenset]:
+    """The three-letter windows of ``swap_moves``: those whose swapped pair
+    is at offset 0, and those whose pair is at offset 1."""
+    moves = swap_moves(ideal)
+    return tuple(frozenset(u for u, k in moves if len(u) == 3 and k == offset) for offset in (0, 1))
+
+
+def _orders_linked(
+    letters: Sequence[Letter],
+    edges: Sequence[Sequence[tuple]],
+    swaps: frozenset,
+    swaps_after: frozenset,
+    swaps_before: frozenset,
+) -> bool:
+    """Whether a walk from the first order over the edges of ``_order_facts``
+    reaches every order of a filling, taking only the edges whose swap is a
+    move of ``swap_moves``.
+
+    An edge swaps the letters ``a b`` of two adjacent boxes of an order.  It
+    is a move when ``(a, b)`` is in ``swaps`` (``swap_pairs``), or when the
+    triple with the letter after them (offset 0) is in ``swaps_after``, or
+    the one with the letter before them (offset 1) is in ``swaps_before``
+    (``_triple_swaps``).  Such an edge changes the word read by a padded
+    two-term generator, so True means the words are congruent.  False
+    decides nothing.
+    """
+    full = (1 << len(edges)) - 1
+    reached = 1
+    stack = [0]
+    while stack:
+        for other, i, j, before, after in edges[stack.pop()]:
+            if reached >> other & 1:
+                continue
+            a, b = letters[i], letters[j]
+            if (
+                (a, b) in swaps
+                or (after is not None and (a, b, letters[after]) in swaps_after)
+                or (before is not None and (letters[before], a, b) in swaps_before)
+            ):
+                reached |= 1 << other
+                stack.append(other)
+    return reached == full
+
+
 def verify_reading_word_congruence(max_boxes: int, N: int) -> dict:
     """All arrow-respecting reading words of one restricted colored tableau
     are congruent modulo the Kronecker ideal: they have one normal form.
 
-    The check runs per box set on plain letter tuples: each shape's layout
-    is read once, its fillings stream as tuples of letters in box order,
-    and each filling is decided from its predecessor masks
-    (``_filling_preds``) before any word is built.  Only a failure builds
-    its tableau, for the report.
+    The check runs on the box poset of each filling and builds words only
+    for the few fillings that need them.  One ``_FillingWalk`` serves every
+    shape: it streams each shape's fillings as tuples of letters in box
+    order, each with its arrows as an int, and the driver looks the
+    ``_order_facts`` record of those arrows up in a dict kept per shape.
+    Only a failure builds its tableau, for the report.
 
-    ``_order_facts`` gives the masks' one cached record: their number of
-    orders, incomparable box pairs and word readers.  The number of orders
-    is the number of reading words, since equal letters form a chain of the
-    box poset; a filling with one order has one word and needs nothing
-    more.  A filling whose every incomparable pair holds letters ``(a, b)``
-    in ``swap_pairs`` is congruent: any two of its orders are joined by
-    swaps of adjacent incomparable boxes, and each such swap changes the
-    word by a padded generator ``a b - b a``.  Only the other fillings read
-    their words, from the same record, so each filling's masks are computed
-    once: first ``linked_by_moves`` tries to join the words, and then equal
-    form ids in their content's space decide.
-    ``linked`` counts the fillings joined by either test, and ``contents``
+    The record's count of orders is the number of reading words, since
+    equal letters form a chain of the box poset; a filling with one order
+    has one word and needs nothing more.  A filling with more is settled
+    by the first of three tests that holds:
+
+    * ``settled_by_pairs``: every incomparable pair of boxes holds letters
+      ``(a, b)`` in ``swap_pairs``.  Any two orders are joined by swaps of
+      adjacent incomparable boxes, and each such swap changes the word by a
+      padded generator ``a b - b a``.
+    * ``settled_by_moves``: a walk over the record's edges, the swaps of two
+      adjacent incomparable boxes of an order, reaches every order taking
+      only the swaps that are moves of ``swap_moves`` (``_orders_linked``).
+    * ``settled_by_forms``: the filling reads its words and they have equal
+      form ids in their content's space.
+
+    ``linked`` is the first two counts together, and ``contents`` counts
     the distinct contents whose space was consulted: 46 at 6 boxes and N=3,
-    where every tableau with more than one word would consult 726.  Neither
-    count depends on what the cache held.
+    where every tableau with more than one word would consult 726.  No
+    count depends on what the caches held.
 
     A tableau with more words than ``monomial_budget()`` is refused before
-    its words are compared: ``ResourceLimitError`` with ``required`` set to
-    its number of words."""
+    its pairs are tested: ``ResourceLimitError`` with ``required`` set to
+    its number of words.  A negative ``max_boxes`` is an
+    ``InvalidParameterError``.
+    """
+    _check_bound(max_boxes, "max_boxes")
     order = natural_order(N)
     top = barred(N)
     ideal = kron_ideal(N)
     swaps = swap_pairs(ideal)
+    swaps_after, swaps_before = _triple_swaps(ideal)
     budget = monomial_budget()
+    walk = _FillingWalk(order, top)
     tableaux_checked = 0
     words_checked = 0
-    linked = 0
+    by_pairs = by_moves = by_forms = 0
     consulted = set()  # the spaces consulted, one per content
     for shape in restricted_shapes_in_box(max_boxes, max_boxes, max_boxes=max_boxes):
         layout = _box_layout(shape.boxes)
-        ordered = layout[0]
-        for letters in _letter_fillings(ordered, order, top):
+        records: dict[int, tuple] = {}  # arrows -> the order facts of their masks
+        for letters, arrows in walk.with_arrows(layout):
             tableaux_checked += 1
-            count, pairs, readers = _order_facts(_filling_preds(letters, layout))
+            record = records.get(arrows)
+            if record is None:
+                record = records[arrows] = _order_facts(_arrow_preds(arrows, layout))
+            count, pairs, edges, readers = record
             words_checked += count
             if count == 1:
                 continue
             check_budget(count, "the reading-word set of a tableau", budget)
             if all((letters[i], letters[j]) in swaps for i, j in pairs):
-                linked += 1
+                by_pairs += 1
                 continue
+            if _orders_linked(letters, edges, swaps, swaps_after, swaps_before):
+                by_moves += 1
+                continue
+            by_forms += 1
             words = sorted(read(letters) for read in readers)
-            if linked_by_moves(ideal, words):
-                linked += 1
-                continue
             # the reading words of a tableau are rearrangements of one content
             space = content_space(ideal, tuple(sorted(words[0])))
             consulted.add(space)
             base = space.form_id(words[0])
             for w in words[1:]:
                 if space.form_id(w) != base:
-                    tab = ColoredTableau(dict(zip(ordered, letters)), order)
+                    tab = ColoredTableau(dict(zip(layout[0], letters)), order)
                     return {"target": "reading-congruence", "ok": False, "tableau": tab.to_text(), "word": word_str(w)}
     return {
         "target": "reading-congruence",
@@ -291,7 +362,10 @@ def verify_reading_word_congruence(max_boxes: int, N: int) -> dict:
         "N": N,
         "tableaux": tableaux_checked,
         "words": words_checked,
-        "linked": linked,
+        "linked": by_pairs + by_moves,
+        "settled_by_pairs": by_pairs,
+        "settled_by_moves": by_moves,
+        "settled_by_forms": by_forms,
         "contents": len(consulted),
         "ok": True,
     }
@@ -375,6 +449,8 @@ def verify_flagged(N: int = 2, max_alpha_weight: int = 4, box: int = 3) -> dict:
     (alpha, flags, filling, reading-word split), the augmented flagged Schur
     function times the prefix equals the sum of diagonal reading words of the
     completions, modulo the Kronecker ideal."""
+    _check_bound(max_alpha_weight, "max_alpha_weight")
+    _check_bound(box, "box")
     order = natural_order(N)
     top = barred(N)
     ideal = kron_ideal(N)

@@ -140,6 +140,19 @@ def test_usage_errors(capsys):
     assert main(["sqread", "--tableau", "1 3", "--N", "2"]) == 2
     assert main(["insert", "--word", "1 3", "--order", "explicit:\"1 1' 2 2'\""]) == 2
     assert main(["convert-word", "--word", "1 3", "--from", "natural", "--to", "bigbar", "--N", "2"]) == 2
+    # a negative size bound would run zero checks and report them as passed
+    for target, option in (
+        ("reading-congruence", "--max-size"),
+        ("jnu", "--max-size"),
+        ("conjecture61", "--max-size"),
+        ("conversion-bijection", "--max-size"),
+        ("fixed-point", "--max-size"),
+        ("commute-e", "--max-degree"),
+        ("flagged", "--max-alpha"),
+        ("flagged", "--box"),
+        ("nontail", "--box"),
+    ):
+        assert main(["verify", target, option, "-1"]) == 2, (target, option)
 
 
 def test_verify_takes_n_as_given(capsys):

@@ -39,7 +39,6 @@ from suprschur.free_algebra import (
     kron_ideal,
     kronknuth_ideal,
     letters_at_most,
-    linked_by_moves,
     parse_ideal,
     perp_contains,
     perp_violation,
@@ -988,12 +987,12 @@ def test_reading_word_congruence_reports_a_failure(monkeypatch):
     added = []  # (the first reading word, its reversal read after it)
 
     def with_an_extra_order(preds):
-        # one more order, and a box paired with itself, whose letters no swap
-        # window holds: every filling of two or more boxes builds its words;
-        # the extra reader reads the first word reversed
-        count, pairs, readers = order_facts(preds)
+        # one more order, which no edge reaches, and a box paired with itself,
+        # whose letters no swap window holds: every filling of two or more
+        # boxes reads its words; the extra reader reads the first word reversed
+        count, pairs, edges, readers = order_facts(preds)
         if len(preds) < 2:
-            return count, pairs, readers
+            return count, pairs, edges, readers
 
         def first_reversed(letters):
             word = min(read(letters) for read in readers)
@@ -1001,7 +1000,7 @@ def test_reading_word_congruence_reports_a_failure(monkeypatch):
                 added.append((word, word[::-1]))
             return word[::-1]
 
-        return count + 1, pairs + ((0, 0),), readers + (first_reversed,)
+        return count + 1, pairs + ((0, 0),), edges + ((),), readers + (first_reversed,)
 
     monkeypatch.setattr(verify, "_order_facts", with_an_extra_order)
     report = verify.verify_reading_word_congruence(3, 2)
@@ -1022,6 +1021,30 @@ def test_reading_word_congruence_counts_contents_whatever_the_cache():
     assert cold["ok"] and cold["contents"] == free_algebra._content_space.cache_info().currsize > 0
     warm = verify.verify_reading_word_congruence(5, 2)
     assert warm == cold
+
+
+def test_reading_word_congruence_settles_the_same_way_whatever_the_cache():
+    from suprschur import tableaux, verify
+
+    _clear_ideal_caches()
+    tableaux._order_facts.cache_clear()
+    tableaux._box_layout.cache_clear()
+    cold = verify.verify_reading_word_congruence(6, 3)
+    warm = verify.verify_reading_word_congruence(6, 3)
+    assert warm == cold and cold["ok"]
+    settled = [cold[k] for k in ("settled_by_pairs", "settled_by_moves", "settled_by_forms")]
+    assert settled == [18_684, 4_660, 296]
+    assert cold["linked"] == 18_684 + 4_660
+    # the rest have one reading word each
+    assert cold["tableaux"] - sum(settled) == 20_290
+
+
+def test_reading_word_congruence_refuses_a_negative_size():
+    from suprschur import verify
+
+    with pytest.raises(InvalidParameterError):
+        verify.verify_reading_word_congruence(-1, 3)
+    assert verify.verify_reading_word_congruence(0, 3)["tableaux"] == 0
 
 
 def test_reading_word_congruence_refuses_a_tableau_over_the_budget(monkeypatch):
@@ -1100,6 +1123,7 @@ def _reading_word_congruence_per_tableau(max_boxes, N):
     tableaux_checked = 0
     words_checked = 0
     linked = 0
+    by_forms = 0
     consulted = set()
     for shape in restricted_shapes_in_box(max_boxes, max_boxes, max_boxes=max_boxes):
         for tab in enumerate_fillings(shape, order, top):
@@ -1111,6 +1135,7 @@ def _reading_word_congruence_per_tableau(max_boxes, N):
             if linked_by_moves(ideal, words):
                 linked += 1
                 continue
+            by_forms += 1
             space = content_space(ideal, tuple(sorted(words[0])))
             consulted.add(space)
             base = space.form_id(words[0])
@@ -1124,6 +1149,7 @@ def _reading_word_congruence_per_tableau(max_boxes, N):
         "tableaux": tableaux_checked,
         "words": words_checked,
         "linked": linked,
+        "settled_by_forms": by_forms,
         "contents": len(consulted),
         "ok": True,
     }
@@ -1137,8 +1163,11 @@ def test_reading_word_congruence_matches_per_tableau_driver(max_boxes, N):
     from suprschur import verify
 
     report = verify.verify_reading_word_congruence(max_boxes, N)
+    # the reference links by moves alone; the driver's first two tests split that
+    by_pairs, by_moves = report.pop("settled_by_pairs"), report.pop("settled_by_moves")
     assert report == _reading_word_congruence_per_tableau(max_boxes, N)
-    assert report["ok"] and report["linked"] > 0 and report["contents"] > 0
+    assert by_pairs > 0 and by_moves > 0 and by_pairs + by_moves == report["linked"]
+    assert report["ok"] and report["contents"] > 0
 
 
 @pytest.mark.parametrize("max_boxes, N", CONGRUENCE_SIZES)
@@ -1181,11 +1210,11 @@ def test_reading_word_congruence_refuses_a_non_generator_swap(monkeypatch):
 
     def with_an_extra_order(preds):
         # the row gets a second order, east box first, so its boxes are
-        # incomparable; its reader reads "2 1" off the first "1 2" and
-        # otherwise the one real word again
-        count, pairs, readers = order_facts(preds)
+        # incomparable and one swap joins the two orders; its reader reads
+        # "2 1" off the first "1 2" and otherwise the one real word again
+        count, pairs, edges, readers = order_facts(preds)
         if preds != row:
-            return count, pairs, readers
+            return count, pairs, edges, readers
 
         def east_first(letters):
             if readers[0](letters) == word and not seen:
@@ -1193,7 +1222,8 @@ def test_reading_word_congruence_refuses_a_non_generator_swap(monkeypatch):
                 return stranger
             return readers[0](letters)
 
-        return 2, ((0, 1),), readers + (east_first,)
+        swap = (((1, 0, 1, None, None),), ((0, 1, 0, None, None),))
+        return 2, ((0, 1),), swap, readers + (east_first,)
 
     monkeypatch.setattr(verify, "_order_facts", with_an_extra_order)
     report = verify.verify_reading_word_congruence(3, 2)
@@ -1201,15 +1231,17 @@ def test_reading_word_congruence_refuses_a_non_generator_swap(monkeypatch):
     assert not _dense_membership(kron_ideal(2), 2)(NCPoly.from_word(word) - NCPoly.from_word(stranger))
 
 
-def _letter_fillings_upto(max_boxes, N):
+def _walked_fillings(max_boxes, N):
     """Every restricted filling with at most max_boxes boxes and letters at
-    most N', as (letters in box order, the box set's layout)."""
-    from suprschur.tableaux import _box_layout, _letter_fillings, restricted_shapes_in_box
+    most N', as (letters in box order, the walk's arrows, the box set's
+    layout)."""
+    from suprschur.tableaux import _box_layout, _FillingWalk, restricted_shapes_in_box
 
+    walk = _FillingWalk(natural_order(N), barred(N))
     for shape in restricted_shapes_in_box(max_boxes, max_boxes, max_boxes=max_boxes):
         layout = _box_layout(shape.boxes)
-        for letters in _letter_fillings(layout[0], natural_order(N), barred(N)):
-            yield letters, layout
+        for letters, arrows in walk.with_arrows(layout):
+            yield letters, arrows, layout
 
 
 @pytest.mark.parametrize("max_boxes, N", CONGRUENCE_SIZES + [(6, 3), (5, 4)])
@@ -1220,14 +1252,14 @@ def test_orders_read_distinct_words_and_pairs_settle_only_linked_fillings(max_bo
     swaps = free_algebra.swap_pairs(ideal)
     settled = 0
     pairs_checked = set()
-    for letters, layout in _letter_fillings_upto(max_boxes, N):
+    for letters, _, layout in _walked_fillings(max_boxes, N):
         preds = _filling_preds(letters, layout)
         orders = _linear_extensions(preds)
-        count, pairs, readers = _order_facts(preds)
+        count, pairs, edges, readers = _order_facts(preds)
         read = [tuple(letters[i] for i in seq) for seq in orders]
         assert [reader(letters) for reader in readers] == read
         words = set(read)
-        assert len(words) == len(orders) == count
+        assert len(words) == len(orders) == count == len(edges)
         if preds not in pairs_checked:
             # a pair is incomparable exactly when some order reads each box first
             pairs_checked.add(preds)
@@ -1238,6 +1270,17 @@ def test_orders_read_distinct_words_and_pairs_settle_only_linked_fillings(max_bo
                 if len({at[i] < at[j] for at in position}) == 2
             }
             assert set(pairs) == both_ways and len(pairs) == len(both_ways)
+            # an order's edges are its adjacent swaps that give another order
+            index = {seq: k for k, seq in enumerate(orders)}
+            n = len(preds)
+            for seq, out in zip(orders, edges):
+                expected = set()
+                for p in range(n - 1):
+                    swapped = seq[:p] + (seq[p + 1], seq[p]) + seq[p + 2 :]
+                    if swapped in index:
+                        around = (seq[p - 1] if p else None, seq[p + 2] if p + 2 < n else None)
+                        expected.add((index[swapped], seq[p], seq[p + 1]) + around)
+                assert set(out) == expected and len(out) == len(expected)
         if count > 1 and all((letters[i], letters[j]) in swaps for i, j in pairs):
             settled += 1
             assert linked_by_moves(ideal, sorted(words)), letters
@@ -1246,19 +1289,89 @@ def test_orders_read_distinct_words_and_pairs_settle_only_linked_fillings(max_bo
         assert settled == 18684
 
 
+@pytest.mark.parametrize("max_boxes, N", CONGRUENCE_SIZES + [(6, 3)])
+def test_order_graph_links_as_the_moves_do(max_boxes, N):
+    # on every filling, the walk's arrows give back the filling's masks, and
+    # the walk over the order graph links exactly the fillings whose sorted
+    # words the reference joins by moves
+    from suprschur import verify
+    from suprschur.tableaux import _arrow_preds, _filling_preds, _order_facts
+
+    ideal = kron_ideal(N)
+    swaps = free_algebra.swap_pairs(ideal)
+    swaps_after, swaps_before = verify._triple_swaps(ideal)
+    linked = unlinked = 0
+    for letters, arrows, layout in _walked_fillings(max_boxes, N):
+        preds = _filling_preds(letters, layout)
+        assert _arrow_preds(arrows, layout) == preds, letters
+        count, _, edges, readers = _order_facts(preds)
+        if count == 1:
+            continue
+        words = sorted(read(letters) for read in readers)
+        by_graph = verify._orders_linked(letters, edges, swaps, swaps_after, swaps_before)
+        assert by_graph == linked_by_moves(ideal, words), letters
+        linked += by_graph
+        unlinked += not by_graph
+    assert linked > 0 and unlinked > 0
+    if (max_boxes, N) == (6, 3):
+        assert (linked, unlinked) == (23_344, 296)
+
+
 def test_order_facts_edge_cases():
     from suprschur.tableaux import _order_facts
 
     # fewer than two boxes: one order, whose reader keeps the word a tuple
     for preds, letters in (((), []), ((0,), [unbarred(2)])):
-        count, pairs, readers = _order_facts(preds)
-        assert (count, pairs) == (1, ()) and len(readers) == 1
+        count, pairs, edges, readers = _order_facts(preds)
+        assert (count, pairs, edges) == (1, (), ((),)) and len(readers) == 1
         assert readers[0](letters) == tuple(letters)
     # a chain through a middle index: 0 before 1 before 2, so 0 before 2
     assert _order_facts((0, 0b001, 0b010))[:2] == (1, ())
     # an antichain of three, and a two-element chain beside a free index
     assert _order_facts((0, 0, 0))[:2] == (6, ((0, 1), (0, 2), (1, 2)))
     assert _order_facts((0, 0b001, 0))[:2] == (3, ((0, 2), (1, 2)))
+    # its orders 0 1 2, 0 2 1 and 2 0 1 form a path
+    assert _order_facts((0, 0b001, 0))[2] == (
+        ((1, 1, 2, 0, None),),
+        ((2, 0, 2, None, 1), (0, 2, 1, 0, None)),
+        ((1, 2, 0, None, 1),),
+    )
+
+
+def linked_by_moves(spec, words):
+    """The reference for the order graph: whether every word of the list is
+    reached from the first by swaps of two adjacent letters that are padded
+    two-term generators, passing only through words of the list.
+
+    If ``x`` is ``w`` with a window ``u`` replaced by ``v`` and ``u - v`` is
+    a generator, then ``w - x = left·(u - v)·right`` lies in the ideal; so
+    ``True`` means all the words are congruent.  ``False`` decides nothing.
+    """
+    unreached = set(words)
+    unreached.discard(words[0])
+    if not unreached:
+        return True
+    moves = swap_moves(spec)
+    frontier = [words[0]]
+    while frontier:
+        w = frontier.pop()
+        n = len(w)
+        for p in range(n - 1):
+            a, b = w[p], w[p + 1]
+            if a == b:
+                continue
+            x = w[:p] + (b, a) + w[p + 2 :]
+            # the swapped pair alone, or in a triple with one letter on either side
+            if x in unreached and (
+                ((a, b), 0) in moves
+                or (p + 3 <= n and (w[p : p + 3], 0) in moves)
+                or (p and (w[p - 1 : p + 2], 1) in moves)
+            ):
+                unreached.remove(x)
+                if not unreached:
+                    return True
+                frontier.append(x)
+    return False
 
 
 def test_swap_pairs_are_the_two_letter_swap_generators():

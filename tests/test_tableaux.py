@@ -36,7 +36,8 @@ from suprschur.tableaux import (
     Arrow,
     ColoredTableau,
     RestrictedShape,
-    _letter_fillings,
+    _box_layout,
+    _FillingWalk,
     _ribbon_components,
     _unique_refill,
     arrow_respecting_words,
@@ -515,19 +516,25 @@ def test_is_arrow_respecting_on_a_grid_with_many_orders():
 @pytest.mark.parametrize("N", [2, 3])
 def test_letter_fillings_match_reference(N):
     # the letter tuples, read in lexicographic box order, are the reference
-    # fillings' letters in the same order, in both orders
+    # fillings' letters in the same order, in both orders; one walk serves
+    # every shape, and the walk with arrows gives the same letters
     counts = []
     for order in (natural_order(N), big_bar_order(N)):
         top = order.letters[-1]
+        walk = _FillingWalk(order, top)
         count = 0
         for shape in restricted_shapes_in_box(5, 5, max_boxes=5):
-            ordered = sorted(shape.boxes)
+            layout = _box_layout(shape.boxes)
+            ordered = layout[0]
             reference = [tuple(tab[b] for b in ordered) for tab in _enumerate_fillings_reference(shape, order, top)]
-            assert list(_letter_fillings(ordered, order, top)) == reference, shape
+            assert list(walk.letters(ordered)) == reference, shape
+            assert [letters for letters, _ in walk.with_arrows(layout)] == reference, shape
             count += len(reference)
         counts.append(count)
     assert counts == {2: [1824, 1662], 3: [11438, 10416]}[N]
-    assert list(_letter_fillings((), natural_order(N), barred(N))) == [()]
+    walk = _FillingWalk(natural_order(N), barred(N))
+    assert list(walk.letters(())) == [()]
+    assert list(walk.with_arrows(_box_layout(frozenset()))) == [((), 0)]
 
 
 def test_convert_examples():
