@@ -238,15 +238,22 @@ def covering_swap_path(frm: ShuffleOrder, to: ShuffleOrder) -> list[tuple[Shuffl
     return path
 
 
-def descent_set(word: ColoredWord, order: ShuffleOrder) -> frozenset[int]:
-    """Positions i (1-based) where the word steps down, counting equal barred letters."""
+def descent_mask(word: ColoredWord, order: ShuffleOrder) -> int:
+    """The positions i (1-based) where the word steps down, counting equal
+    barred letters, as a bitmask with bit i-1 for position i."""
     rank = order._rank
-    out = []
+    mask = 0
     for i in range(len(word) - 1):
         a, b = word[i], word[i + 1]
         if rank[a] > rank[b] or (a == b and a.barred):
-            out.append(i + 1)
-    return frozenset(out)
+            mask |= 1 << i
+    return mask
+
+
+def descent_set(word: ColoredWord, order: ShuffleOrder) -> frozenset[int]:
+    """The bits of descent_mask, as 1-based positions."""
+    mask = descent_mask(word, order)
+    return frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def standardize(word: ColoredWord, order: ShuffleOrder) -> tuple[int, ...]:

@@ -3,9 +3,10 @@
 The oracle averages triple products of characters over conjugacy classes.
 The cached character tables of S_n are the one store of character values.
 Each keeps a character as a row over the classes, filled by the
-Murnaghan-Nakayama rule from the tables of smaller n, so a coefficient is one
-pass over four rows.  The hook rules count colored tableaux of shape nu whose
-diagonal reading word is a colored Yamanouchi word of content lam.
+Murnaghan-Nakayama rule from the tables of smaller n, and the row of
+g(lam, mu, nu) over every nu for each pair (lam, mu) asked for.  The hook
+rules count colored tableaux of shape nu whose diagonal reading word is a
+colored Yamanouchi word of content lam.
 
 The count is a direct fill, not a search over words.  A box's west and south
 neighbours lie on the diagonal read just before it, so filling nu diagonal by
@@ -14,18 +15,20 @@ row and column conditions.  A word of content lam is colored Yamanouchi
 exactly when every prefix, with u unbarred and b barred letters of each
 value, has b[v] >= b[v+1] and lam[v] - u[v] >= lam[v+1] - u[v+1], so the
 condition is checked as each diagonal is read.  The last letter read is the box
-(1, nu_1), which decides whether the word ends barred.  One fill per shape,
-keyed by the number of barred letters, serves every d at once.  Each counted
+(1, nu_1), which decides whether the word ends barred.  One fill per lam walks
+the trie of the box steps of every shape of n, so shapes share the states of
+a common prefix and a subtree where none survives is never walked; keyed by
+the number of barred letters, it serves every d at once.  Each counted
 tableau is the insertion tableau of its reading word, so the count equals
 the number of colored Yamanouchi words w with sqread(P(w)) = w; the tests
-keep that insert-and-filter census as the reference
-(tests/test_kronecker.py::_sqread_shape_census_reference).
+keep that census and the fill of one shape at a time as references.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import factorial
+from operator import mul
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -76,6 +79,7 @@ class CharacterTable:
         self.sizes = tuple(class_size(rho) for rho in self.partitions)
         self.index = {rho: i for i, rho in enumerate(self.partitions)}
         self.rows = {(): (1,)}
+        self._coefficients: dict[int, tuple[int, ...]] = {}
         if n:
             columns: dict[int, list[int]] = {}
             for rho in self.partitions:
@@ -91,6 +95,24 @@ class CharacterTable:
 
     def chi(self, lam: Sequence[int], rho: Sequence[int]) -> int:
         return self.rows[tuple(lam)][self.index[tuple(rho)]]
+
+    def coefficients(self, lam: tuple[int, ...], mu: tuple[int, ...]) -> tuple[int, ...]:
+        """g(lam, mu, nu) for every nu, in the order of ``partitions``, kept
+        per (lam, mu): the class weights z * chi^lam * chi^mu, formed once,
+        against each character row, divided by n!."""
+        key = self.index[lam] * len(self.index) + self.index[mu]
+        row = self._coefficients.get(key)
+        if row is None:
+            weights = [z * a * b for z, a, b in zip(self.sizes, self.rows[lam], self.rows[mu])]
+            order = factorial(self.n)
+            row = []
+            for values in self.rows.values():
+                quotient, remainder = divmod(sum(map(mul, weights, values)), order)
+                if remainder:
+                    raise ArithmeticError("character averaging did not give an integer")
+                row.append(quotient)
+            row = self._coefficients[key] = tuple(row)
+        return row
 
 
 @lru_cache(maxsize=None)
@@ -122,14 +144,8 @@ def g_oracle(lam: Sequence[int], mu: Sequence[int], nu: Sequence[int]) -> int:
 
 def _triple_product(lam: tuple[int, ...], mu: tuple[int, ...], nu: tuple[int, ...]) -> int:
     """g_oracle on partitions already checked to be of one size n >= 1."""
-    n = sum(lam)
-    table = character_table(n)
-    rows = table.rows
-    total = sum(z * a * b * c for z, a, b, c in zip(table.sizes, rows[lam], rows[mu], rows[nu]))
-    quotient, remainder = divmod(total, factorial(n))
-    if remainder:
-        raise ArithmeticError("character averaging did not give an integer")
-    return quotient
+    table = character_table(sum(lam))
+    return table.coefficients(lam, mu)[table.index[nu]]
 
 
 def hook(n: int, d: int) -> tuple[int, ...]:
@@ -139,91 +155,98 @@ def hook(n: int, d: int) -> tuple[int, ...]:
     return (n - d,) + (1,) * d
 
 
-def _diagonal_steps(nu: tuple[int, ...]) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """The diagonals of nu in reading order, from the southwest corner to the
-    box (1, nu_1).  Each diagonal lists its boxes bottom-up as the positions
-    of their west and south neighbours on the previous diagonal, -1 where
-    the neighbour is outside nu."""
+def _box_steps(nu: tuple[int, ...]) -> list[tuple[int, int, bool]]:
+    """The boxes of nu diagonal by diagonal from the southwest corner to
+    (1, nu_1), each diagonal bottom-up, as (west, south, closes): the
+    positions of the box's west and south neighbours on the previous
+    diagonal (-1 outside nu) and whether it tops its diagonal.  Diagonal k
+    holds the rows lo..hi, as nu_r falls while the column r - k grows."""
     steps = []
-    prev_rows: dict[int, int] = {}
-    for k in range(len(nu) - 1, -nu[0] if nu else 0, -1):
-        rows = [r for r in range(len(nu), 0, -1) if 1 <= r - k <= nu[r - 1]]
-        steps.append(tuple((prev_rows.get(r, -1), prev_rows.get(r + 1, -1)) for r in rows))
-        prev_rows = {r: i for i, r in enumerate(rows)}
-    return tuple(steps)
+    prev_lo, prev_hi = len(nu) + 1, 0
+    for k in range(len(nu) - 1, -nu[0], -1):
+        lo = hi = max(1, k + 1)
+        while hi < len(nu) and hi + 1 - k <= nu[hi]:
+            hi += 1
+        for r in range(hi, lo - 1, -1):
+            steps.append((prev_hi - r if r >= prev_lo else -1, prev_hi - r - 1 if r < prev_hi else -1, r == lo))
+        prev_lo, prev_hi = lo, hi
+    return steps
 
 
-def _barred_prefixes_ok(diagonal: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    """Whether a finished diagonal's barred letters, read top-down, keep
-    b[v-1] >= b[v] after each of them.  b already counts them all, so they
-    are taken back off bottom-up."""
-    seen = list(b)
-    for x in diagonal:
-        if x & 1:
-            v = x >> 1
-            if v and seen[v] > seen[v - 1]:
-                return False
-            seen[v] -= 1
-    return True
+def _step_trie(n: int) -> dict:
+    """The trie of the _box_steps of every nu of n, ending in nu."""
+    root: dict = {}
+    for nu in partitions_of(n):
+        *path, last = _box_steps(nu)
+        node = root
+        for edge in path:
+            node = node.setdefault(edge, {})
+        node[last] = nu
+    return root
 
 
-def _diagonal_fills(lam: tuple[int, ...], nu: tuple[int, ...]) -> dict[tuple[int, bool], int]:
-    """Count the colored tableaux of shape nu in the natural order whose
-    diagonal reading word is colored Yamanouchi of content lam, by number of
-    barred letters and by whether the word ends barred.
+@lru_cache(maxsize=None)
+def _census_by_bars(lam: tuple[int, ...]) -> Mapping[int, Mapping[tuple[tuple[int, ...], bool], int]]:
+    """For every number d of bars, the census of shapes nu and final bars.
 
     Letters are their natural-order codes 2(v-1) + barred, so the row and
     column conditions compare codes.  A state is the previous diagonal, the
-    current one so far (filled bottom-up), a = lam - (unbarred counts) and
-    b = barred counts.  Unbarred letters are checked against a[v] >= a[v+1]
-    as they are placed; a diagonal's barred letters are read top-down after
-    its unbarred ones, so they are checked against b[v-1] >= b[v] once it is
-    complete.
-    """
-    parts = len(lam)
-    top = 2 * parts - 1
-    states: dict[tuple, int] = {((), (), lam, (0,) * parts): 1}
-    for boxes in _diagonal_steps(nu):
-        last = len(boxes) - 1
-        for j, (west, south) in enumerate(boxes):
+    current one so far, a = lam - (unbarred counts) and b = barred counts,
+    each packed into one int with a field of lam_1's width per value.
+    Unbarred letters are checked against a[v] >= a[v+1] as they are placed;
+    a diagonal's barred letters are read top-down after its unbarred ones,
+    so once it is complete they are taken back off b bottom-up, each checked
+    against b[v-1] >= b[v]."""
+    top = 2 * len(lam) - 1
+    width = lam[0].bit_length()
+    field = (1 << width) - 1
+    shifts = [(x >> 1) * width for x in range(top + 1)]
+    packed = sum(part << v * width for v, part in enumerate(lam))
+    by_d: dict[int, dict[tuple[tuple[int, ...], bool], int]] = {}
+    stack = [(_step_trie(sum(lam)), {((), (), packed, 0): 1})]
+    while stack:
+        node, states = stack.pop()
+        for (west, south, closes), child in node.items():
             grown: dict[tuple, int] = {}
             for (prev, cur, a, b), count in states.items():
                 lo = 0 if west < 0 else prev[west] + (prev[west] & 1)
                 hi = top if south < 0 else prev[south] - 1 + (prev[south] & 1)
                 for x in range(lo, hi + 1):
-                    v = x >> 1
-                    if a[v] <= b[v]:
+                    shift = shifts[x]
+                    left = a >> shift & field
+                    if left <= b >> shift & field:
                         continue
                     if x & 1:
-                        na, nb = a, b[:v] + (b[v] + 1,) + b[v + 1:]
-                    else:
-                        if v + 1 < parts and a[v] <= a[v + 1]:
-                            continue
-                        na, nb = a[:v] + (a[v] - 1,) + a[v + 1:], b
-                    ncur = cur + (x,)
-                    if j < last:
-                        key = (prev, ncur, na, nb)
-                    elif _barred_prefixes_ok(ncur, nb):
-                        key = (ncur, (), na, nb)
-                    else:
+                        na, nb = a, b + (1 << shift)
+                    elif left <= a >> shift + width & field:
                         continue
+                    else:
+                        na, nb = a - (1 << shift), b
+                    ncur = cur + (x,)
+                    if closes:
+                        seen = nb
+                        for y in ncur:
+                            if y & 1:
+                                shift = shifts[y]
+                                if shift and seen >> shift & field > seen >> shift - width & field:
+                                    break
+                                seen -= 1 << shift
+                        else:
+                            key = (ncur, (), na, nb)
+                            grown[key] = grown.get(key, 0) + count
+                        continue
+                    key = (prev, ncur, na, nb)
                     grown[key] = grown.get(key, 0) + count
-            states = grown
-    out: dict[tuple[int, bool], int] = {}
-    for (prev, _cur, _a, b), count in states.items():
-        key = (sum(b), bool(prev and prev[0] & 1))
-        out[key] = out.get(key, 0) + count
-    return out
-
-
-@lru_cache(maxsize=None)
-def _census_by_bars(lam: tuple[int, ...]) -> Mapping[int, Mapping[tuple[tuple[int, ...], bool], int]]:
-    """For every number d of barred letters, the census of shapes nu and
-    final bars; one diagonal fill per shape serves every d."""
-    by_d: dict[int, dict[tuple[tuple[int, ...], bool], int]] = {}
-    for nu in partitions_of(sum(lam)):
-        for (d, ends_barred), count in _diagonal_fills(lam, nu).items():
-            by_d.setdefault(d, {})[(nu, ends_barred)] = count
+            if not grown:
+                continue
+            if type(child) is dict:
+                stack.append((child, grown))
+                continue
+            keys = ((child, False), (child, True))  # shared by every d
+            for (prev, _cur, _a, b), count in grown.items():
+                census = by_d.setdefault(sum(b >> shift & field for shift in shifts[::2]), {})
+                key = keys[prev[0] & 1]
+                census[key] = census.get(key, 0) + count
     return MappingProxyType({d: MappingProxyType(census) for d, census in by_d.items()})
 
 

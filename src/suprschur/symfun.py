@@ -30,7 +30,7 @@ from .alphabet_words import (
     ShuffleOrder,
     arrangement_count,
     covering_swap_path,
-    descent_set,
+    descent_mask,
 )
 from .errors import InvalidParameterError, NotSymmetricError
 from .tableaux import partitions_of, tableaux_with_sqread_in
@@ -92,19 +92,16 @@ def F_of_poly(terms: Mapping[ColoredWord, int], order: ShuffleOrder) -> QSymVect
     the support, with the given integer weights, in the monomial
     quasisymmetric basis.
 
-    The weights are summed per descent set first; M_alpha then takes the
-    sum over the descent sets inside alpha's cut set, one bit at a time."""
+    Each weight is added at its word's descent mask, a cut-set bitmask;
+    M_alpha then takes the sum over the descent sets inside alpha's cut
+    set, one bit at a time."""
     lengths = {len(w) for w in terms}
     if len(lengths) > 1:
         raise InvalidParameterError("all words must have the same length")
     degree = lengths.pop() if lengths else 0
-    by_set: dict[frozenset[int], int] = {}
-    for w, c in terms.items():
-        descents = descent_set(w, order)
-        by_set[descents] = by_set.get(descents, 0) + c
     sums = [0] * (1 << max(degree - 1, 0))
-    for descents, c in by_set.items():
-        sums[sum(1 << (pos - 1) for pos in descents)] += c
+    for w, c in terms.items():
+        sums[descent_mask(w, order)] += c
     for pos in range(degree - 1):
         bit = 1 << pos
         for cuts in range(len(sums)):

@@ -13,6 +13,7 @@ from suprschur.alphabet_words import (
     barred,
     big_bar_order,
     covering_swap_path,
+    descent_mask,
     descent_set,
     double_down,
     down_arrow,
@@ -29,6 +30,7 @@ from suprschur.alphabet_words import (
     word_str,
 )
 from suprschur.errors import InvalidParameterError, MalformedInputError
+from suprschur.tableaux import partitions_of
 
 from golden_data import CYW31_D1_WORDS
 
@@ -158,6 +160,46 @@ def test_descent_set_examples():
     assert descent_set(w("1 2 3"), natural_order(3)) == frozenset()
     assert descent_set(w("2 2"), nat) == frozenset()
     assert descent_set(w("2' 2'"), nat) == {1}
+
+
+def _descent_positions(word, order):
+    """Where the word steps down, compared by public rank: the reference
+    for the descent mask."""
+    return {
+        i + 1
+        for i in range(len(word) - 1)
+        if order.rank(word[i]) > order.rank(word[i + 1]) or (word[i] == word[i + 1] and word[i].barred)
+    }
+
+
+def _assert_mask_is_descent_set(word, order):
+    mask = descent_mask(word, order)
+    bits = {i + 1 for i in range(mask.bit_length()) if mask >> i & 1}
+    assert bits == _descent_positions(word, order) == descent_set(word, order), (word, order)
+
+
+def test_descent_mask_on_colored_yamanouchi_words():
+    checked = 0
+    for n in range(1, 7):
+        for lam in partitions_of(n):
+            orders = (natural_order(len(lam)), big_bar_order(len(lam)))
+            for d in range(n + 1):
+                for word in enumerate_cyw(lam, d):
+                    for order in orders:
+                        _assert_mask_is_descent_set(word, order)
+                    checked += 1
+    assert checked == 5898
+
+
+@given(st.integers(min_value=1, max_value=3).flatmap(
+    lambda N: st.tuples(
+        st.lists(st.integers(min_value=0, max_value=2 * N - 1), max_size=9),
+        st.sampled_from([natural_order(N), big_bar_order(N)]),
+    )
+))
+def test_descent_mask_on_drawn_words(drawn):
+    codes, order = drawn
+    _assert_mask_is_descent_set(tuple(letter_from_code(c) for c in codes), order)
 
 
 def test_standardize_examples():

@@ -4,10 +4,14 @@ from math import factorial
 
 import pytest
 
+from suprschur import kronecker
 from suprschur.alphabet_words import enumerate_cyw, natural_order
 from suprschur.errors import InvalidParameterError, ResourceLimitError
 from suprschur.kronecker import (
     ORACLE_BUDGET,
+    CharacterTable,
+    _box_steps,
+    _census_by_bars,
     _sqread_shape_census,
     character_table,
     class_size,
@@ -151,6 +155,25 @@ def test_g_oracle_matches_chi_reference():
     assert checked == sum(len(partitions_of(n)) ** 3 for n in range(1, 8)) + 22 * 8 * 22
 
 
+def test_non_integral_average_still_raises(monkeypatch):
+    # a fresh table with one row altered, so the cached table and its
+    # coefficient rows are never touched
+    table = CharacterTable(3)
+    row = table.rows[(2, 1)]
+    table.rows = {**table.rows, (2, 1): (row[0] + 1,) + row[1:]}
+    monkeypatch.setattr(kronecker, "character_table", lambda n: table)
+    for call in (
+        lambda: g_oracle((2, 1), (2, 1), (3,)),
+        lambda: g_hook_oracle((2, 1), 1, (2, 1)),
+        lambda: g_sum_oracle((2, 1), 2, (1, 1, 1)),
+    ):
+        with pytest.raises(ArithmeticError):
+            call()
+    monkeypatch.undo()
+    assert g_oracle((2, 1), (2, 1), (3,)) == 1
+    assert g_hook_oracle((2, 1), 1, (2, 1)) == 1
+
+
 def test_g_oracle_symmetry():
     for n in (3, 4, 5):
         parts = partitions_of(n)
@@ -259,6 +282,109 @@ def test_census_matches_insertion_reference():
                 assert dict(_sqread_shape_census(lam, d)) == _sqread_shape_census_reference(lam, d), (lam, d)
                 checked += 1
     assert checked == 284 + 22 * 4
+
+
+def _diagonal_steps(nu: tuple[int, ...]) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The diagonals of nu in reading order, from the southwest corner to the
+    box (1, nu_1).  Each diagonal lists its boxes bottom-up as the positions
+    of their west and south neighbours on the previous diagonal, -1 where
+    the neighbour is outside nu."""
+    steps = []
+    prev_rows: dict[int, int] = {}
+    for k in range(len(nu) - 1, -nu[0] if nu else 0, -1):
+        rows = [r for r in range(len(nu), 0, -1) if 1 <= r - k <= nu[r - 1]]
+        steps.append(tuple((prev_rows.get(r, -1), prev_rows.get(r + 1, -1)) for r in rows))
+        prev_rows = {r: i for i, r in enumerate(rows)}
+    return tuple(steps)
+
+
+def _barred_prefixes_ok(diagonal: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    """Whether a finished diagonal's barred letters, read top-down, keep
+    b[v-1] >= b[v] after each of them.  b already counts them all, so they
+    are taken back off bottom-up."""
+    seen = list(b)
+    for x in diagonal:
+        if x & 1:
+            v = x >> 1
+            if v and seen[v] > seen[v - 1]:
+                return False
+            seen[v] -= 1
+    return True
+
+
+def _diagonal_fills(lam: tuple[int, ...], nu: tuple[int, ...]) -> dict[tuple[int, bool], int]:
+    """Count the colored tableaux of shape nu in the natural order whose
+    diagonal reading word is colored Yamanouchi of content lam, by number of
+    barred letters and by whether the word ends barred.
+
+    Letters are their natural-order codes 2(v-1) + barred, so the row and
+    column conditions compare codes.  A state is the previous diagonal, the
+    current one so far (filled bottom-up), a = lam - (unbarred counts) and
+    b = barred counts.  Unbarred letters are checked against a[v] >= a[v+1]
+    as they are placed; a diagonal's barred letters are read top-down after
+    its unbarred ones, so they are checked against b[v-1] >= b[v] once it is
+    complete.  The census of one shape at a time, with unpacked counts: the
+    reference for the trie walk of ``_census_by_bars``.
+    """
+    parts = len(lam)
+    top = 2 * parts - 1
+    states: dict[tuple, int] = {((), (), lam, (0,) * parts): 1}
+    for boxes in _diagonal_steps(nu):
+        last = len(boxes) - 1
+        for j, (west, south) in enumerate(boxes):
+            grown: dict[tuple, int] = {}
+            for (prev, cur, a, b), count in states.items():
+                lo = 0 if west < 0 else prev[west] + (prev[west] & 1)
+                hi = top if south < 0 else prev[south] - 1 + (prev[south] & 1)
+                for x in range(lo, hi + 1):
+                    v = x >> 1
+                    if a[v] <= b[v]:
+                        continue
+                    if x & 1:
+                        na, nb = a, b[:v] + (b[v] + 1,) + b[v + 1:]
+                    else:
+                        if v + 1 < parts and a[v] <= a[v + 1]:
+                            continue
+                        na, nb = a[:v] + (a[v] - 1,) + a[v + 1:], b
+                    ncur = cur + (x,)
+                    if j < last:
+                        key = (prev, ncur, na, nb)
+                    elif _barred_prefixes_ok(ncur, nb):
+                        key = (ncur, (), na, nb)
+                    else:
+                        continue
+                    grown[key] = grown.get(key, 0) + count
+            states = grown
+    out: dict[tuple[int, bool], int] = {}
+    for (prev, _cur, _a, b), count in states.items():
+        key = (sum(b), bool(prev and prev[0] & 1))
+        out[key] = out.get(key, 0) + count
+    return out
+
+
+def test_box_steps_are_the_diagonals_read_in_turn():
+    for n in range(1, 13):
+        for nu in partitions_of(n):
+            flat = [(west, south, j == len(boxes) - 1) for boxes in _diagonal_steps(nu) for j, (west, south) in enumerate(boxes)]
+            assert _box_steps(nu) == flat, nu
+
+
+def test_trie_census_matches_the_fill_of_one_shape_at_a_time():
+    # lam_1 runs over 1..9, so the packed counts cross several field widths
+    checked = 0
+    for n in range(1, 10):
+        parts = partitions_of(n)
+        for lam in parts:
+            census = _census_by_bars(lam)
+            reference: dict = {}
+            for nu in parts:
+                for (d, ends_barred), count in _diagonal_fills(lam, nu).items():
+                    reference.setdefault(d, {})[(nu, ends_barred)] = count
+            assert {d: dict(by_shape) for d, by_shape in census.items()} == reference, lam
+            for d in range(n + 1):
+                assert dict(_sqread_shape_census(lam, d)) == reference.get(d, {}), (lam, d)
+            checked += 1
+    assert checked == sum(len(partitions_of(n)) for n in range(1, 10))
 
 
 def test_census_cache_cannot_be_mutated():
