@@ -38,6 +38,7 @@ from .free_algebra import (
     perp_contains,
     plac_ideal,
 )
+from .lascoux import superstandard
 from .tableaux import (
     ColoredTableau,
     RestrictedShape,
@@ -50,7 +51,6 @@ from .tableaux import (
     nontail_removable,
     some_arrow_respecting_word,
     sqread,
-    superstandard,
     validate_tableau,
 )
 

@@ -137,9 +137,24 @@ def _same_size(*parts: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     return parts
 
 
+def _oracle_parts(*parts: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """The arguments as ``_same_size`` gives them, found among the classes
+    of ``character_table(n)``, whose rows the oracle reads anyway.  Only a
+    part that is no class there, or an n outside 1..ORACLE_BUDGET, goes
+    through ``_same_size``, so a non-partition is refused before any table
+    too large is asked for."""
+    parts = tuple(map(tuple, parts))
+    n = sum(parts[0])
+    if 1 <= n <= ORACLE_BUDGET:
+        index = character_table(n).index
+        if all(part in index for part in parts):
+            return parts
+    return _same_size(*parts)
+
+
 def g_oracle(lam: Sequence[int], mu: Sequence[int], nu: Sequence[int]) -> int:
     """Kronecker coefficient as an averaged triple product of characters."""
-    return _triple_product(*_same_size(lam, mu, nu))
+    return _triple_product(*_oracle_parts(lam, mu, nu))
 
 
 def _triple_product(lam: tuple[int, ...], mu: tuple[int, ...], nu: tuple[int, ...]) -> int:
@@ -272,10 +287,13 @@ def g_hook_rule(lam: Sequence[int], d: int, nu: Sequence[int]) -> int:
     return census.get((nu, False), 0)
 
 
-def _sum_triple(lam: Sequence[int], d: int, nu: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _sum_triple(
+    lam: Sequence[int], d: int, nu: Sequence[int], same_size=_same_size
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """lam and nu as partitions of one size n >= 1, with 0 <= d <= n checked:
-    the triples that the sum rule and its oracle both accept."""
-    lam, nu = _same_size(lam, nu)
+    the triples that the sum rule and its oracle both accept.  The oracle
+    checks the partitions with ``_oracle_parts``."""
+    lam, nu = same_size(lam, nu)
     n = sum(lam)
     if not 0 <= d <= n:
         raise InvalidParameterError(f"need 0 <= d <= {n}")
@@ -298,7 +316,7 @@ def g_hook_oracle(lam: Sequence[int], d: int, nu: Sequence[int]) -> int:
 def g_sum_oracle(lam: Sequence[int], d: int, nu: Sequence[int]) -> int:
     """Oracle value for the boundary-safe two-coefficient sum; it refuses
     what g_sum_rule refuses."""
-    lam, nu = _sum_triple(lam, d, nu)
+    lam, nu = _sum_triple(lam, d, nu, _oracle_parts)
     n = sum(lam)
     total = 0
     if 0 <= d <= n - 1:

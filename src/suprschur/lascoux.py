@@ -2,28 +2,112 @@
 
 A class here is the set of permutations whose insertion tableau is the
 row-consecutive filling of a shape; products are composed pointwise and the
-resulting multiset is analyzed by insertion tableau.
+resulting multiset is analyzed by insertion tableau.  The ordinary
+(uncolored) tableaux this needs live here too: superstandard fillings, RSK
+and the standard tableaux of a shape.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import InvalidParameterError, ResourceLimitError
-from .tableaux import (
-    IntRows,
-    check_partition,
-    inverse_rsk,
-    ordinary_insertion_tableau,
-    standard_tableaux,
-    superstandard,
-)
+from .tableaux import check_partition
 
 GAMMA_BUDGET = 9
 
 Perm = tuple[int, ...]
 PermMultiset = Counter  # Counter[Perm]
+
+
+# ---------------------------------------------------------------------------
+# ordinary (uncolored) tableaux: superstandard fillings and RSK
+
+IntRows = tuple[tuple[int, ...], ...]
+
+
+def superstandard(lam: Sequence[int]) -> IntRows:
+    """Rows labeled consecutively left to right, top to bottom."""
+    lam = check_partition(lam)
+    rows = []
+    nxt = 1
+    for part in lam:
+        rows.append(tuple(range(nxt, nxt + part)))
+        nxt += part
+    return tuple(rows)
+
+
+def ordinary_rsk(word: Sequence[int]) -> tuple[IntRows, IntRows]:
+    """Row insertion with recording tableau."""
+    p_rows: list[list[int]] = []
+    q_rows: list[list[int]] = []
+    for step, x in enumerate(word, start=1):
+        r = 0
+        while True:
+            if r == len(p_rows):
+                p_rows.append([x])
+                q_rows.append([step])
+                break
+            row = p_rows[r]
+            bump = None
+            for i, y in enumerate(row):
+                if y > x:
+                    bump = i
+                    break
+            if bump is None:
+                row.append(x)
+                q_rows[r].append(step)
+                break
+            row[bump], x = x, row[bump]
+            r += 1
+    return tuple(map(tuple, p_rows)), tuple(map(tuple, q_rows))
+
+
+def ordinary_insertion_tableau(word: Sequence[int]) -> IntRows:
+    return ordinary_rsk(word)[0]
+
+
+def inverse_rsk(p_rows: IntRows, q_rows: IntRows) -> tuple[int, ...]:
+    """Recover the word inserting to P with recording tableau Q."""
+    rows = [list(row) for row in p_rows]
+    positions = {value: (r, c) for r, row in enumerate(q_rows) for c, value in enumerate(row)}
+    word = []
+    for step in range(len(positions), 0, -1):
+        r, c = positions[step]
+        x = rows[r].pop(c)
+        for rr in range(r - 1, -1, -1):
+            row = rows[rr]
+            # rightmost entry smaller than x comes out
+            i = max(j for j, y in enumerate(row) if y < x)
+            row[i], x = x, row[i]
+        word.append(x)
+    if any(row for row in rows):
+        raise InvalidParameterError("recording tableau does not match the insertion tableau")
+    return tuple(reversed(word))
+
+
+def standard_tableaux(lam: Sequence[int]) -> Iterator[IntRows]:
+    """All standard Young tableaux of the given shape."""
+    lam = check_partition(lam)
+    n = sum(lam)
+    rows: list[list[int]] = [[] for _ in lam]
+
+    def fill(value: int) -> Iterator[IntRows]:
+        if value > n:
+            yield tuple(tuple(row) for row in rows)
+            return
+        for r, row in enumerate(rows):
+            if len(row) < lam[r] and (r == 0 or len(rows[r - 1]) > len(row)):
+                row.append(value)
+                yield from fill(value + 1)
+                row.pop()
+
+    yield from fill(1)
+
+
+# ---------------------------------------------------------------------------
+# Knuth classes of permutations
 
 
 def gamma_class(lam: Sequence[int]) -> list[Perm]:

@@ -371,7 +371,7 @@ class _FillingWalk:
     def heads(self) -> dict[tuple[bool, bool], dict[Letter, tuple[Letter, int]]]:
         """Per candidate flags ``(nw, se)``: each letter x of a northwest box
         that can carry an arrow, with the southeast letter that makes it and
-        the arrow's kind (``_arrow``).  Only ``with_arrows`` reads them."""
+        the arrow's kind (``_arrow``).  ``by_arrows`` reads them."""
         alphabet = self.alphabet
         return {
             (nw, se): {x: (y, kind) for x in alphabet for y in alphabet if (kind := _arrow(x, y, nw, se))}
@@ -385,78 +385,96 @@ class _FillingWalk:
         index = {box: i for i, box in enumerate(ordered)}
         return [(index.get((r, c - 1)), index.get((r - 1, c))) for r, c in ordered]
 
+    def _choices(self, ordered: Sequence[Box]) -> list[tuple[itemgetter, Mapping]]:
+        """Per box, a getter of its west and north neighbours' letters from a
+        prefix, and the table from those to the letters the box allows."""
+        steps = []
+        for west, north in self._neighbours(ordered):
+            if west is not None and north is not None:
+                steps.append((itemgetter(west, north), self.both))
+            elif west is not None:
+                steps.append((itemgetter(west), self.east_of))
+            elif north is not None:
+                steps.append((itemgetter(north), self.south_of))
+            else:
+                # a shape's first box: every prefix gives the empty slice
+                steps.append((itemgetter(slice(0)), {(): self.alphabet}))
+        return steps
+
     def letters(self, ordered: Sequence[Box]) -> Iterator[tuple[Letter, ...]]:
         """Every filling of the boxes, given in lexicographic order: each a
         tuple of letters in box order."""
         if not ordered:
             yield ()
             return
-        alphabet, east_of, south_of, both = self.alphabet, self.east_of, self.south_of, self.both
-        neighbours = self._neighbours(ordered)
+        choices = self._choices(ordered)
         last = len(ordered) - 1
         stack: list[tuple[Letter, ...]] = [()]
         while stack:
             prefix = stack.pop()
-            i = len(prefix)
-            west, north = neighbours[i]
-            if west is None:
-                choices = alphabet if north is None else south_of[prefix[north]]
-            elif north is None:
-                choices = east_of[prefix[west]]
-            else:
-                choices = both[prefix[west], prefix[north]]
-            if i == last:
-                for x in choices:
+            get, allowed = choices[len(prefix)]
+            if len(prefix) == last:
+                for x in allowed[get(prefix)]:
                     yield prefix + (x,)
             else:
                 # reversed, so that the stack pops the smallest letter first
-                stack.extend([prefix + (x,) for x in reversed(choices)])
+                stack.extend([prefix + (x,) for x in reversed(allowed[get(prefix)])])
 
-    def with_arrows(self, layout: _Layout) -> Iterator[tuple[tuple[Letter, ...], int]]:
-        """The fillings of ``letters(layout[0])``, in the same order, each
-        with its arrows as one int: the kind of arrow (``_arrow``) that the
-        c-th candidate pair of the layout carries, at bits 2c and 2c + 1.
-
-        The arrows are added one box at a time: a candidate's southeast box
-        comes after its northwest box, so its arrow is decided when the
-        southeast box is filled.
-        """
-        ordered, _, candidates = layout
-        if not ordered:
-            yield (), 0
-            return
-        alphabet, east_of, south_of, both = self.alphabet, self.east_of, self.south_of, self.both
-        # per box, the candidates it ends: (the northwest box, {letter there:
-        # (the letter here that makes an arrow, its bits)})
-        ends: list[list[tuple[int, dict[Letter, tuple[Letter, int]]]]] = [[] for _ in ordered]
-        for c, (i, j, nw, se) in enumerate(candidates):
-            ends[j].append((i, {x: (y, kind << 2 * c) for x, (y, kind) in self.heads[nw, se].items()}))
-        neighbours = self._neighbours(ordered)
-        last = len(ordered) - 1
-        stack: list[tuple[tuple[Letter, ...], int]] = [((), 0)]
+    def by_arrows(self, max_boxes: int) -> Iterator[tuple[_Layout, dict[int, list[tuple[Letter, ...]]]]]:
+        """Each restricted shape of at most max_boxes boxes that has a
+        filling, as its ``_box_layout``, with its fillings grouped by arrows
+        (``_filling_arrows``).  One walk, depth first over the trie of the
+        shapes' box sequences, serves them all: the boxes before a box fix
+        its neighbours and the numbered candidates ending at it, whose
+        rectangles lie in the rows above it."""
+        heads = self.heads
+        # a node: its box's ``_choices``; the candidates ending there, as the
+        # northwest box and {its letter: (the letter here, the arrow's bits)};
+        # the children by box; the layout of the shape ending there, or None
+        roots = {}
+        for shape in restricted_shapes_in_box(max_boxes, max_boxes, max_boxes=max_boxes):
+            layout = _box_layout(shape.boxes)
+            ordered, _, candidates = layout
+            children = roots
+            for j, (box, (get, allowed)) in enumerate(zip(ordered, self._choices(ordered))):
+                if box not in children:
+                    ends = tuple(
+                        (i, {x: (y, kind << 2 * c) for x, (y, kind) in heads[nw, se].items()})
+                        for c, (i, end, nw, se) in enumerate(candidates)
+                        if end == j
+                    )
+                    children[box] = [get, allowed, ends, {}, None]
+                node = children[box]
+                children = node[3]
+            node[4] = layout
+        # a node waits with its parent's groups, shared by its siblings, and
+        # grows its own when it is taken
+        stack = [(node, {0: [()]}) for node in roots.values()]
         while stack:
-            prefix, arrows = stack.pop()
-            i = len(prefix)
-            # the choices of ``letters``, inline: a call per prefix would
-            # cost a quarter of the walk
-            west, north = neighbours[i]
-            if west is None:
-                choices = alphabet if north is None else south_of[prefix[north]]
-            elif north is None:
-                choices = east_of[prefix[west]]
-            else:
-                choices = both[prefix[west], prefix[north]]
-            hits: dict[Letter, int] = {}  # a letter here -> the arrows it makes
-            for corner, heads in ends[i]:
-                hit = heads.get(prefix[corner])
-                if hit is not None:
-                    y, bits = hit
-                    hits[y] = hits.get(y, 0) | bits
-            if i == last:
-                for x in choices:
-                    yield prefix + (x,), arrows | hits.get(x, 0)
-            else:
-                stack.extend([(prefix + (x,), arrows | hits.get(x, 0)) for x in reversed(choices)])
+            (get, allowed, ends, children, layout), groups = stack.pop()
+            grown = {}
+            for arrows, prefixes in groups.items():
+                if not ends:
+                    out = [p + (x,) for p in prefixes for x in allowed[get(p)]]
+                    if out:
+                        grown[arrows] = out
+                    continue
+                for p in prefixes:
+                    hits = {}  # a letter here -> the arrows it makes
+                    for corner, made in ends:
+                        hit = made.get(p[corner])
+                        if hit is not None:
+                            hits[hit[0]] = hits.get(hit[0], 0) | hit[1]
+                    for x in allowed[get(p)]:
+                        key = arrows | hits.get(x, 0)
+                        if key in grown:
+                            grown[key].append(p + (x,))
+                        else:
+                            grown[key] = [p + (x,)]
+            if grown:
+                if layout is not None:
+                    yield layout, grown
+                stack.extend((child, grown) for child in children.values())
 
 
 def enumerate_fillings(shape: RestrictedShape, order: ShuffleOrder, max_letter: Letter) -> Iterator[ColoredTableau]:
@@ -480,10 +498,10 @@ def enumerate_tableaux(nu: Sequence[int], order: ShuffleOrder, max_letter: Lette
 #
 # One model answers every question here.  Per box set, ``_box_layout`` gives
 # each box's mask of the boxes southwest of it and the pairs of boxes that
-# can carry an arrow.  ``_arrow`` decides which of those pairs carry one in
-# a filling; a filling's arrows are one int (``_filling_arrows``, or built box
-# by box in ``_FillingWalk.with_arrows``), and ``_arrow_preds`` adds their
-# tails to the masks.  The arrows and the northeast-maximal and nontail
+# can carry an arrow, numbered by southeast box.  ``_arrow`` decides which
+# of those pairs carry one in a filling; a filling's arrows are one int
+# (``_filling_arrows``, or built box by box in ``_FillingWalk.by_arrows``),
+# and ``_arrow_preds`` adds their tails to the masks.  The arrows and the northeast-maximal and nontail
 # removable boxes are read off the masks, and the reading orders, their
 # incomparable pairs, the swaps between them and the readers of the words
 # are one record per mask tuple, ``_order_facts``.
@@ -517,7 +535,8 @@ def _box_layout(boxes: frozenset[Box]) -> _Layout:
     i-th box) of the other boxes weakly southwest of it, which are read
     before it; and each pair ``(i, j, nw, se)`` of a box and one strictly
     southeast of it whose rectangle can carry an arrow: ``nw`` when the
-    letters are unbarred, ``se`` when they are barred.
+    letters are unbarred, ``se`` when they are barred, in order of
+    southeast box, then northwest box.
     """
     ordered = tuple(sorted(boxes))
     southwest = tuple(
@@ -525,8 +544,8 @@ def _box_layout(boxes: frozenset[Box]) -> _Layout:
         for r2, c2 in ordered
     )
     candidates = []
-    for i, (r1, c1) in enumerate(ordered):
-        for j, (r2, c2) in enumerate(ordered):
+    for j, (r2, c2) in enumerate(ordered):
+        for i, (r1, c1) in enumerate(ordered):
             if r2 <= r1 or c2 <= c1:
                 continue
             two_by_two = r2 == r1 + 1 and c2 == c1 + 1
@@ -641,7 +660,7 @@ def _arrow(x: Letter, y: Letter, nw: bool, se: bool) -> int:
 def _filling_arrows(letters: Sequence[Letter], layout: _Layout) -> int:
     """A filling's arrows as one int: the ``_arrow`` of the c-th candidate
     pair of its layout at bits 2c and 2c + 1.  The letters are in box
-    order.  ``_FillingWalk.with_arrows`` builds the same int box by box."""
+    order.  ``_FillingWalk.by_arrows`` builds the same int box by box."""
     return sum(_arrow(letters[i], letters[j], nw, se) << 2 * c for c, (i, j, nw, se) in enumerate(layout[2]))
 
 
@@ -881,88 +900,3 @@ def convert(tab: ColoredTableau, frm: ShuffleOrder, to: ShuffleOrder) -> Colored
     for _, nxt, b, abar in covering_swap_path(frm, to):
         result = convert_step(result, nxt, b, abar)
     return result
-
-
-# ---------------------------------------------------------------------------
-# ordinary (uncolored) tableaux: superstandard fillings and RSK
-
-IntRows = tuple[tuple[int, ...], ...]
-
-
-def superstandard(lam: Sequence[int]) -> IntRows:
-    """Rows labeled consecutively left to right, top to bottom."""
-    lam = check_partition(lam)
-    rows = []
-    nxt = 1
-    for part in lam:
-        rows.append(tuple(range(nxt, nxt + part)))
-        nxt += part
-    return tuple(rows)
-
-
-def ordinary_rsk(word: Sequence[int]) -> tuple[IntRows, IntRows]:
-    """Row insertion with recording tableau."""
-    p_rows: list[list[int]] = []
-    q_rows: list[list[int]] = []
-    for step, x in enumerate(word, start=1):
-        r = 0
-        while True:
-            if r == len(p_rows):
-                p_rows.append([x])
-                q_rows.append([step])
-                break
-            row = p_rows[r]
-            bump = None
-            for i, y in enumerate(row):
-                if y > x:
-                    bump = i
-                    break
-            if bump is None:
-                row.append(x)
-                q_rows[r].append(step)
-                break
-            row[bump], x = x, row[bump]
-            r += 1
-    return tuple(map(tuple, p_rows)), tuple(map(tuple, q_rows))
-
-
-def ordinary_insertion_tableau(word: Sequence[int]) -> IntRows:
-    return ordinary_rsk(word)[0]
-
-
-def inverse_rsk(p_rows: IntRows, q_rows: IntRows) -> tuple[int, ...]:
-    """Recover the word inserting to P with recording tableau Q."""
-    rows = [list(row) for row in p_rows]
-    positions = {value: (r, c) for r, row in enumerate(q_rows) for c, value in enumerate(row)}
-    word = []
-    for step in range(len(positions), 0, -1):
-        r, c = positions[step]
-        x = rows[r].pop(c)
-        for rr in range(r - 1, -1, -1):
-            row = rows[rr]
-            # rightmost entry smaller than x comes out
-            i = max(j for j, y in enumerate(row) if y < x)
-            row[i], x = x, row[i]
-        word.append(x)
-    if any(row for row in rows):
-        raise InvalidParameterError("recording tableau does not match the insertion tableau")
-    return tuple(reversed(word))
-
-
-def standard_tableaux(lam: Sequence[int]) -> Iterator[IntRows]:
-    """All standard Young tableaux of the given shape."""
-    lam = check_partition(lam)
-    n = sum(lam)
-    rows: list[list[int]] = [[] for _ in lam]
-
-    def fill(value: int) -> Iterator[IntRows]:
-        if value > n:
-            yield tuple(tuple(row) for row in rows)
-            return
-        for r, row in enumerate(rows):
-            if len(row) < lam[r] and (r == 0 or len(rows[r - 1]) > len(row)):
-                row.append(value)
-                yield from fill(value + 1)
-                row.pop()
-
-    yield from fill(1)

@@ -48,7 +48,6 @@ from .tableaux import (
     ColoredTableau,
     RestrictedShape,
     _arrow_preds,
-    _box_layout,
     _FillingWalk,
     _order_facts,
     arrow_respecting_words,
@@ -284,16 +283,16 @@ def verify_reading_word_congruence(max_boxes: int, N: int) -> dict:
     are congruent modulo the Kronecker ideal: they have one normal form.
 
     The check runs on the box poset of each filling and builds words only
-    for the few fillings that need them.  One ``_FillingWalk`` serves every
-    shape: it streams each shape's fillings as tuples of letters in box
-    order, each with its arrows as an int, and the driver looks the
-    ``_order_facts`` record of those arrows up in a dict kept per shape.
-    Only a failure builds its tableau, for the report.
+    for the few fillings that need them.  ``_FillingWalk.by_arrows`` walks
+    the fillings of every shape at once, grouped by shape and arrows, and
+    the driver looks up one ``_order_facts`` record per group.  Only a
+    failure builds its tableau, for the report: the first failing filling
+    in the walk's order.
 
     The record's count of orders is the number of reading words, since
-    equal letters form a chain of the box poset; a filling with one order
-    has one word and needs nothing more.  A filling with more is settled
-    by the first of three tests that holds:
+    equal letters form a chain of the box poset; a group with one order
+    is counted whole, one word per filling, with no work per filling.  A
+    filling with more is settled by the first of three tests that holds:
 
     * ``settled_by_pairs``: every incomparable pair of boxes holds letters
       ``(a, b)`` in ``swap_pairs``.  Any two orders are joined by swaps of
@@ -312,8 +311,8 @@ def verify_reading_word_congruence(max_boxes: int, N: int) -> dict:
 
     A tableau with more words than ``monomial_budget()`` is refused before
     its pairs are tested: ``ResourceLimitError`` with ``required`` set to
-    its number of words.  A negative ``max_boxes`` is an
-    ``InvalidParameterError``.
+    its number of words, once per group of fillings.  A negative
+    ``max_boxes`` is an ``InvalidParameterError``.
     """
     _check_bound(max_boxes, "max_boxes")
     order = natural_order(N)
@@ -327,35 +326,31 @@ def verify_reading_word_congruence(max_boxes: int, N: int) -> dict:
     words_checked = 0
     by_pairs = by_moves = by_forms = 0
     consulted = set()  # the spaces consulted, one per content
-    for shape in restricted_shapes_in_box(max_boxes, max_boxes, max_boxes=max_boxes):
-        layout = _box_layout(shape.boxes)
-        records: dict[int, tuple] = {}  # arrows -> the order facts of their masks
-        for letters, arrows in walk.with_arrows(layout):
-            tableaux_checked += 1
-            record = records.get(arrows)
-            if record is None:
-                record = records[arrows] = _order_facts(_arrow_preds(arrows, layout))
-            count, pairs, edges, readers = record
-            words_checked += count
+    for layout, groups in walk.by_arrows(max_boxes):
+        for arrows, group in groups.items():
+            count, pairs, edges, readers = _order_facts(_arrow_preds(arrows, layout))
+            tableaux_checked += len(group)
+            words_checked += count * len(group)
             if count == 1:
                 continue
             check_budget(count, "the reading-word set of a tableau", budget)
-            if all((letters[i], letters[j]) in swaps for i, j in pairs):
-                by_pairs += 1
-                continue
-            if _orders_linked(letters, edges, swaps, swaps_after, swaps_before):
-                by_moves += 1
-                continue
-            by_forms += 1
-            words = sorted(read(letters) for read in readers)
-            # the reading words of a tableau are rearrangements of one content
-            space = content_space(ideal, tuple(sorted(words[0])))
-            consulted.add(space)
-            base = space.form_id(words[0])
-            for w in words[1:]:
-                if space.form_id(w) != base:
-                    tab = ColoredTableau(dict(zip(layout[0], letters)), order)
-                    return {"target": "reading-congruence", "ok": False, "tableau": tab.to_text(), "word": word_str(w)}
+            for letters in group:
+                if all((letters[i], letters[j]) in swaps for i, j in pairs):
+                    by_pairs += 1
+                    continue
+                if _orders_linked(letters, edges, swaps, swaps_after, swaps_before):
+                    by_moves += 1
+                    continue
+                by_forms += 1
+                words = sorted(read(letters) for read in readers)
+                # the reading words of a tableau are rearrangements of one content
+                space = content_space(ideal, tuple(sorted(words[0])))
+                consulted.add(space)
+                base = space.form_id(words[0])
+                for w in words[1:]:
+                    if space.form_id(w) != base:
+                        tab = ColoredTableau(dict(zip(layout[0], letters)), order)
+                        return {"target": "reading-congruence", "ok": False, "tableau": tab.to_text(), "word": word_str(w)}
     return {
         "target": "reading-congruence",
         "max_boxes": max_boxes,

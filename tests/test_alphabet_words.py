@@ -245,7 +245,7 @@ def is_superstandard_ssyt(rows):
 
 
 def test_yamanouchi_matches_superstandard_insertion():
-    from suprschur.tableaux import ordinary_insertion_tableau
+    from suprschur.lascoux import ordinary_insertion_tableau
 
     from itertools import product
 

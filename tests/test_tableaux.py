@@ -1,6 +1,8 @@
 import random
 import re
+from collections import Counter
 from itertools import combinations, product
+from typing import Iterator
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +23,7 @@ from golden_data import (
     T544_SQREAD,
 )
 from suprschur.alphabet_words import (
+    Letter,
     ShuffleOrder,
     barred,
     big_bar_order,
@@ -37,7 +40,9 @@ from suprschur.tableaux import (
     ColoredTableau,
     RestrictedShape,
     _box_layout,
+    _filling_arrows,
     _FillingWalk,
+    _Layout,
     _ribbon_components,
     _unique_refill,
     arrow_respecting_words,
@@ -50,21 +55,23 @@ from suprschur.tableaux import (
     enumerate_fillings,
     enumerate_tableaux,
     insert,
-    inverse_rsk,
     is_arrow_respecting,
     is_partition,
     ne_maximal_boxes,
     nontail_removable,
-    ordinary_insertion_tableau,
-    ordinary_rsk,
     partitions_of,
     restricted_shapes_in_box,
     some_arrow_respecting_word,
     sqread,
-    standard_tableaux,
-    superstandard,
     tableaux_with_sqread_in,
     validate_tableau,
+)
+from suprschur.lascoux import (
+    inverse_rsk,
+    ordinary_insertion_tableau,
+    ordinary_rsk,
+    standard_tableaux,
+    superstandard,
 )
 from suprschur.verify import conversion_bijection_holds
 
@@ -513,6 +520,81 @@ def test_is_arrow_respecting_on_a_grid_with_many_orders():
     assert not is_arrow_respecting(grid, tuple(sorted(word)))
 
 
+def with_arrows(self, layout: _Layout) -> Iterator[tuple[tuple[Letter, ...], int]]:
+    """The fillings of ``letters(layout[0])``, in the same order, each
+    with its arrows as one int: the kind of arrow (``_arrow``) that the
+    c-th candidate pair of the layout carries, at bits 2c and 2c + 1.
+
+    The arrows are added one box at a time: a candidate's southeast box
+    comes after its northwest box, so its arrow is decided when the
+    southeast box is filled.
+    """
+    ordered, _, candidates = layout
+    if not ordered:
+        yield (), 0
+        return
+    alphabet, east_of, south_of, both = self.alphabet, self.east_of, self.south_of, self.both
+    # per box, the candidates it ends: (the northwest box, {letter there:
+    # (the letter here that makes an arrow, its bits)})
+    ends: list[list[tuple[int, dict[Letter, tuple[Letter, int]]]]] = [[] for _ in ordered]
+    for c, (i, j, nw, se) in enumerate(candidates):
+        ends[j].append((i, {x: (y, kind << 2 * c) for x, (y, kind) in self.heads[nw, se].items()}))
+    neighbours = self._neighbours(ordered)
+    last = len(ordered) - 1
+    stack: list[tuple[tuple[Letter, ...], int]] = [((), 0)]
+    while stack:
+        prefix, arrows = stack.pop()
+        i = len(prefix)
+        # the choices of ``letters``, inline: a call per prefix would
+        # cost a quarter of the walk
+        west, north = neighbours[i]
+        if west is None:
+            choices = alphabet if north is None else south_of[prefix[north]]
+        elif north is None:
+            choices = east_of[prefix[west]]
+        else:
+            choices = both[prefix[west], prefix[north]]
+        hits: dict[Letter, int] = {}  # a letter here -> the arrows it makes
+        for corner, heads in ends[i]:
+            hit = heads.get(prefix[corner])
+            if hit is not None:
+                y, bits = hit
+                hits[y] = hits.get(y, 0) | bits
+        if i == last:
+            for x in choices:
+                yield prefix + (x,), arrows | hits.get(x, 0)
+        else:
+            stack.extend([(prefix + (x,), arrows | hits.get(x, 0)) for x in reversed(choices)])
+
+
+@pytest.mark.parametrize("max_boxes, N", [(6, 2), (6, 3)])
+def test_walk_by_arrows_matches_the_per_shape_walk(max_boxes, N):
+    # the trie walk gives every shape that has a filling once, and on each
+    # the multiset of (letters, arrows) of the walk of that shape alone;
+    # both number the candidates as the layout does, by southeast box, as
+    # _filling_arrows does too
+    walk = _FillingWalk(natural_order(N), barred(N))
+    shapes = restricted_shapes_in_box(max_boxes, max_boxes, max_boxes=max_boxes)
+    seen = []
+    for layout, groups in walk.by_arrows(max_boxes):
+        seen.append(layout)
+        assert all(groups.values()), layout
+        walked = Counter((letters, arrows) for arrows, group in groups.items() for letters in group)
+        reference = Counter(with_arrows(walk, layout))
+        assert walked == reference, layout[0]
+        assert all(_filling_arrows(letters, layout) == arrows for letters, arrows in walked), layout[0]
+        assert [j for _, j, _, _ in layout[2]] == sorted(j for _, j, _, _ in layout[2])
+    assert len(set(seen)) == len(seen)
+    unfilled = {_box_layout(shape.boxes) for shape in shapes} - set(seen)
+    assert all(not list(with_arrows(walk, layout)) for layout in unfilled)
+    assert len(unfilled) == {2: 4, 3: 0}[N]
+    assert sum(len(group) for _, groups in walk.by_arrows(max_boxes) for group in groups.values()) == {
+        2: 4876,
+        3: 43930,
+    }[N]
+    assert list(walk.by_arrows(0)) == []
+
+
 @pytest.mark.parametrize("N", [2, 3])
 def test_letter_fillings_match_reference(N):
     # the letter tuples, read in lexicographic box order, are the reference
@@ -528,13 +610,13 @@ def test_letter_fillings_match_reference(N):
             ordered = layout[0]
             reference = [tuple(tab[b] for b in ordered) for tab in _enumerate_fillings_reference(shape, order, top)]
             assert list(walk.letters(ordered)) == reference, shape
-            assert [letters for letters, _ in walk.with_arrows(layout)] == reference, shape
+            assert [letters for letters, _ in with_arrows(walk, layout)] == reference, shape
             count += len(reference)
         counts.append(count)
     assert counts == {2: [1824, 1662], 3: [11438, 10416]}[N]
     walk = _FillingWalk(natural_order(N), barred(N))
     assert list(walk.letters(())) == [()]
-    assert list(walk.with_arrows(_box_layout(frozenset()))) == [((), 0)]
+    assert list(with_arrows(walk, _box_layout(frozenset()))) == [((), 0)]
 
 
 def test_convert_examples():
