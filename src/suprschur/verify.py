@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import combinations_with_replacement, product
+from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .alphabet_words import (
@@ -278,6 +279,15 @@ def _orders_linked(
     return reached == full
 
 
+def _projection(pairs: Sequence[tuple[int, int]], edges: Sequence[Sequence[tuple]]) -> Callable:
+    """A getter of the letters, as a tuple, at the indices of ``pairs`` and
+    at each edge's ``i``, ``j``, ``before`` and ``after``."""
+    read = {i for pair in pairs for i in pair}
+    read.update(k for out in edges for edge in out for k in edge[1:] if k is not None)
+    # a getter of one index returns a bare letter, and one of none is refused
+    return itemgetter(*read) if len(read) > 1 else lambda letters: tuple(letters[i] for i in read)
+
+
 def verify_reading_word_congruence(max_boxes: int, N: int) -> dict:
     """All arrow-respecting reading words of one restricted colored tableau
     are congruent modulo the Kronecker ideal: they have one normal form.
@@ -304,6 +314,13 @@ def verify_reading_word_congruence(max_boxes: int, N: int) -> dict:
     * ``settled_by_forms``: the filling reads its words and they have equal
       form ids in their content's space.
 
+    The first two tests are decided once per key: the predecessor masks of
+    a group and the letters at the indices the tests read (``_projection``).
+    That is sound because the masks fix the record's pairs and edges, and
+    the tests read no other letter; groups of other shapes with equal masks
+    share the verdicts.  ``decided`` counts the keys, and a filling whose
+    key went to forms still reads its own words, in the walk's order.
+
     ``linked`` is the first two counts together, and ``contents`` counts
     the distinct contents whose space was consulted: 46 at 6 boxes and N=3,
     where every tableau with more than one word would consult 726.  No
@@ -324,24 +341,35 @@ def verify_reading_word_congruence(max_boxes: int, N: int) -> dict:
     walk = _FillingWalk(order, top)
     tableaux_checked = 0
     words_checked = 0
-    by_pairs = by_moves = by_forms = 0
+    settled = [0, 0, 0]  # by pairs, by moves, by forms
+    decided = 0
+    known = {}  # masks -> (their _projection, verdicts by projected letters)
     consulted = set()  # the spaces consulted, one per content
     for layout, groups in walk.by_arrows(max_boxes):
         for arrows, group in groups.items():
-            count, pairs, edges, readers = _order_facts(_arrow_preds(arrows, layout))
+            preds = _arrow_preds(arrows, layout)
+            count, pairs, edges, readers = _order_facts(preds)
             tableaux_checked += len(group)
             words_checked += count * len(group)
             if count == 1:
                 continue
             check_budget(count, "the reading-word set of a tableau", budget)
+            if preds not in known:
+                known[preds] = _projection(pairs, edges), {}
+            project, verdicts = known[preds]
             for letters in group:
-                if all((letters[i], letters[j]) in swaps for i, j in pairs):
-                    by_pairs += 1
+                key = project(letters)
+                verdict = verdicts.get(key)
+                if verdict is None:
+                    decided += 1
+                    verdict = verdicts[key] = (
+                        0
+                        if all((letters[i], letters[j]) in swaps for i, j in pairs)
+                        else 1 if _orders_linked(letters, edges, swaps, swaps_after, swaps_before) else 2
+                    )
+                settled[verdict] += 1
+                if verdict < 2:
                     continue
-                if _orders_linked(letters, edges, swaps, swaps_after, swaps_before):
-                    by_moves += 1
-                    continue
-                by_forms += 1
                 words = sorted(read(letters) for read in readers)
                 # the reading words of a tableau are rearrangements of one content
                 space = content_space(ideal, tuple(sorted(words[0])))
@@ -357,10 +385,11 @@ def verify_reading_word_congruence(max_boxes: int, N: int) -> dict:
         "N": N,
         "tableaux": tableaux_checked,
         "words": words_checked,
-        "linked": by_pairs + by_moves,
-        "settled_by_pairs": by_pairs,
-        "settled_by_moves": by_moves,
-        "settled_by_forms": by_forms,
+        "linked": settled[0] + settled[1],
+        "settled_by_pairs": settled[0],
+        "settled_by_moves": settled[1],
+        "settled_by_forms": settled[2],
+        "decided": decided,
         "contents": len(consulted),
         "ok": True,
     }

@@ -1054,6 +1054,7 @@ def test_reading_word_congruence_at_seven_boxes():
         "settled_by_pairs": 73_390,
         "settled_by_moves": 19_984,
         "settled_by_forms": 1_968,
+        "decided": 6_325,
         "contents": 160,
         "ok": True,
     }
@@ -1175,6 +1176,69 @@ def _reading_word_congruence_per_tableau(max_boxes, N):
     }
 
 
+def _reading_word_congruence_per_filling(max_boxes, N, forms=None):
+    """The congruence driver that ran the pair test and ``_orders_linked``
+    on every filling of more than one order.  ``decided`` counts the
+    distinct (masks, letters at the indices those tests read), the keys the
+    driver decides once each.  ``forms``, if given, gets the sorted words of
+    each filling that goes to its content space, in the walk's order."""
+    from suprschur import verify
+
+    order = natural_order(N)
+    ideal = kron_ideal(N)
+    swaps = verify.swap_pairs(ideal)
+    swaps_after, swaps_before = verify._triple_swaps(ideal)
+    budget = verify.monomial_budget()
+    tableaux_checked = 0
+    words_checked = 0
+    by_pairs = by_moves = by_forms = 0
+    keys = set()
+    consulted = set()
+    for layout, groups in verify._FillingWalk(order, barred(N)).by_arrows(max_boxes):
+        for arrows, group in groups.items():
+            preds = verify._arrow_preds(arrows, layout)
+            count, pairs, edges, readers = verify._order_facts(preds)
+            tableaux_checked += len(group)
+            words_checked += count * len(group)
+            if count == 1:
+                continue
+            verify.check_budget(count, "the reading-word set of a tableau", budget)
+            boxes = sorted({i for pair in pairs for i in pair} | {k for out in edges for e in out for k in e[1:]} - {None})
+            for letters in group:
+                keys.add((preds, tuple(letters[i] for i in boxes)))
+                if all((letters[i], letters[j]) in swaps for i, j in pairs):
+                    by_pairs += 1
+                    continue
+                if verify._orders_linked(letters, edges, swaps, swaps_after, swaps_before):
+                    by_moves += 1
+                    continue
+                by_forms += 1
+                words = sorted(read(letters) for read in readers)
+                if forms is not None:
+                    forms.append(words)
+                space = verify.content_space(ideal, tuple(sorted(words[0])))
+                consulted.add(space)
+                base = space.form_id(words[0])
+                for w in words[1:]:
+                    if space.form_id(w) != base:
+                        tab = ColoredTableau(dict(zip(layout[0], letters)), order)
+                        return {"target": "reading-congruence", "ok": False, "tableau": tab.to_text(), "word": word_str(w)}
+    return {
+        "target": "reading-congruence",
+        "max_boxes": max_boxes,
+        "N": N,
+        "tableaux": tableaux_checked,
+        "words": words_checked,
+        "linked": by_pairs + by_moves,
+        "settled_by_pairs": by_pairs,
+        "settled_by_moves": by_moves,
+        "settled_by_forms": by_forms,
+        "decided": len(keys),
+        "contents": len(consulted),
+        "ok": True,
+    }
+
+
 CONGRUENCE_SIZES = [(6, 2), (5, 3)]  # (max_boxes, N)
 
 
@@ -1185,9 +1249,44 @@ def test_reading_word_congruence_matches_per_tableau_driver(max_boxes, N):
     report = verify.verify_reading_word_congruence(max_boxes, N)
     # the reference links by moves alone; the driver's first two tests split that
     by_pairs, by_moves = report.pop("settled_by_pairs"), report.pop("settled_by_moves")
+    assert 0 < report.pop("decided") <= by_pairs + by_moves + report["settled_by_forms"]
     assert report == _reading_word_congruence_per_tableau(max_boxes, N)
     assert by_pairs > 0 and by_moves > 0 and by_pairs + by_moves == report["linked"]
     assert report["ok"] and report["contents"] > 0
+
+
+@pytest.mark.parametrize("max_boxes, N", [(4, 2), (5, 2), (6, 2), (5, 3), (6, 3)])
+def test_reading_word_congruence_matches_per_filling_driver(max_boxes, N):
+    from suprschur import verify
+
+    report = verify.verify_reading_word_congruence(max_boxes, N)
+    assert report == _reading_word_congruence_per_filling(max_boxes, N)
+    assert report["ok"] and report["decided"] < report["tableaux"]
+    if (max_boxes, N) == (6, 3):
+        assert report["decided"] == 2_391
+
+
+def test_reading_word_congruence_reports_the_first_failure_in_walk_order(monkeypatch):
+    # the words of two fillings that go to forms get forms of their own; the
+    # driver and the per-filling reference must stop at the same, first one
+    from suprschur import verify
+
+    forms = []
+    assert _reading_word_congruence_per_filling(5, 3, forms)["ok"]
+    strangers = set(forms[3][1:]) | set(forms[-1][1:])
+
+    class Stranger:
+        def __init__(self, space):
+            self.space = space
+
+        def form_id(self, word):
+            return word if word in strangers else self.space.form_id(word)
+
+    content_space_of = verify.content_space
+    monkeypatch.setattr(verify, "content_space", lambda spec, content: Stranger(content_space_of(spec, content)))
+    report = verify.verify_reading_word_congruence(5, 3)
+    assert report["ok"] is False and parse_word(report["word"]) in forms[3][1:]
+    assert report == _reading_word_congruence_per_filling(5, 3)
 
 
 @pytest.mark.parametrize("max_boxes, N", CONGRUENCE_SIZES)
