@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, Sequence
+from operator import attrgetter, itemgetter
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .alphabet_words import (
     ColoredWord,
@@ -232,11 +232,8 @@ class ColoredTableau:
             by_row.setdefault(r, []).append((c, x))
         return [(r, sorted(by_row[r])) for r in sorted(by_row)]
 
-    def row_words(self) -> list[list[Letter]]:
-        return [[x for _, x in cells] for _, cells in self.rows()]
-
     def to_text(self) -> str:
-        return "\n".join(word_str(row) for row in self.row_words())
+        return "\n".join(word_str([x for _, x in cells]) for _, cells in self.rows())
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -273,30 +270,46 @@ def validate_tableau(tab: ColoredTableau) -> bool:
 def sqread(tab: ColoredTableau) -> ColoredWord:
     """Diagonal reading word: per diagonal from the southwest, unbarred
     entries toward the northwest, then barred entries toward the southeast."""
-    diagonals: dict[int, list[tuple[int, Letter]]] = {}
-    for (r, c), x in tab.entries.items():
-        diagonals.setdefault(r - c, []).append((r, x))
-    out: list[Letter] = []
-    for d in sorted(diagonals, reverse=True):
-        barred: list[Letter] = []
-        for _, x in sorted(diagonals[d], reverse=True):
-            if x.barred:
-                barred.append(x)
-            else:
-                out.append(x)
-        out.extend(reversed(barred))
-    return tuple(out)
+    return _sqread_reader(tab.boxes)(_layout_and_letters(tab)[1])
 
 
 def column_reading(tab: ColoredTableau) -> ColoredWord:
     """Concatenate columns bottom to top, leftmost column first."""
-    columns: dict[int, list[Box]] = {}
-    for box in tab.boxes:
-        columns.setdefault(box[1], []).append(box)
-    out: list[Letter] = []
-    for c in sorted(columns):
-        out.extend(tab[b] for b in sorted(columns[c], reverse=True))
-    return tuple(out)
+    return _column_reader(tab.boxes)(_layout_and_letters(tab)[1])
+
+
+_barred = attrgetter("barred")
+
+
+def _getter(seq: Sequence[int]) -> Callable:
+    """The letters at the indices of a permutation, as a tuple even for one."""
+    return itemgetter(*seq) if len(seq) > 1 else tuple
+
+
+@lru_cache(maxsize=None)
+def _sqread_reader(boxes: frozenset[Box]) -> Callable:
+    """``sqread`` of a filling of the boxes from its letters in box order
+    (``_FillingWalk.letters``), with one getter per pattern of bars."""
+    ordered = sorted(boxes)
+    getters = {}
+
+    def read(letters: Sequence[Letter]) -> ColoredWord:
+        bars = tuple(map(_barred, letters))
+        get = getters.get(bars)
+        if get is None:
+            # per diagonal from the southwest: unbarred to the northwest, then barred to the southeast
+            key = lambda i: (ordered[i][1] - ordered[i][0], bars[i], ordered[i][0] if bars[i] else -ordered[i][0])
+            get = getters[bars] = _getter(sorted(range(len(ordered)), key=key))
+        return get(letters)
+
+    return read
+
+
+@lru_cache(maxsize=None)
+def _column_reader(boxes: frozenset[Box]) -> Callable:
+    """The reader of ``column_reading``: a fixed order of the indices."""
+    ordered = sorted(boxes)
+    return _getter(sorted(range(len(ordered)), key=lambda i: (ordered[i][1], -ordered[i][0])))
 
 
 def insert(word: ColoredWord, order: ShuffleOrder) -> ColoredTableau:
@@ -358,8 +371,7 @@ class _FillingWalk:
     """
 
     def __init__(self, order: ShuffleOrder, max_letter: Letter):
-        alphabet = tuple(x for x in order.letters if order.rank(x) <= order.rank(max_letter))
-        self.alphabet = alphabet
+        self.alphabet = alphabet = tuple(x for x in order.letters if order.rank(x) <= order.rank(max_letter))
         # The letters allowed east of x and south of x.  Each is a suffix of
         # the letters in rank order, so the letters both neighbours allow
         # are the shorter of their two suffixes.
@@ -480,17 +492,14 @@ class _FillingWalk:
 def enumerate_fillings(shape: RestrictedShape, order: ShuffleOrder, max_letter: Letter) -> Iterator[ColoredTableau]:
     """All valid colored fillings of a shape with entries at most max_letter."""
     ordered = _box_layout(shape.boxes)[0]
-    boxes = shape.boxes
-    wrap = ColoredTableau._wrap
+    # every box is filled, so the shape needs no check
     for letters in _FillingWalk(order, max_letter).letters(ordered):
-        # every box is filled, so the shape needs no check
-        yield wrap(dict(zip(ordered, letters)), order, boxes)
+        yield ColoredTableau._wrap(dict(zip(ordered, letters)), order, shape.boxes)
 
 
 def enumerate_tableaux(nu: Sequence[int], order: ShuffleOrder, max_letter: Letter) -> list[ColoredTableau]:
     """All valid colored tableaux of partition shape nu, entries <= max_letter."""
-    shape = RestrictedShape.from_partition(tuple(nu))
-    return list(enumerate_fillings(shape, order, max_letter))
+    return list(enumerate_fillings(RestrictedShape.from_partition(nu), order, max_letter))
 
 
 # ---------------------------------------------------------------------------
@@ -498,13 +507,12 @@ def enumerate_tableaux(nu: Sequence[int], order: ShuffleOrder, max_letter: Lette
 #
 # One model answers every question here.  Per box set, ``_box_layout`` gives
 # each box's mask of the boxes southwest of it and the pairs of boxes that
-# can carry an arrow, numbered by southeast box.  ``_arrow`` decides which
-# of those pairs carry one in a filling; a filling's arrows are one int
-# (``_filling_arrows``, or built box by box in ``_FillingWalk.by_arrows``),
-# and ``_arrow_preds`` adds their tails to the masks.  The arrows and the northeast-maximal and nontail
-# removable boxes are read off the masks, and the reading orders, their
-# incomparable pairs, the swaps between them and the readers of the words
-# are one record per mask tuple, ``_order_facts``.
+# can carry an arrow.  ``_arrow`` decides which of those pairs carry one in
+# a filling; a filling's arrows are one int (``_filling_arrows``, or built
+# box by box in ``_FillingWalk.by_arrows``), whose tails ``_arrow_preds``
+# adds to the masks.  The masks give the arrows, the northeast-maximal and
+# nontail removable boxes, and one record per mask tuple of the reading
+# orders, their swaps and readers, ``_order_facts``.
 
 
 @dataclass(frozen=True)
@@ -512,15 +520,6 @@ class Arrow:
     tail: Box
     head: Box
     direction: str  # "NW" or "SE"
-
-
-def _rectangle_meets_hook_only(boxes: frozenset[Box], r1: int, c1: int, r2: int, c2: int) -> bool:
-    # nothing in the rectangle outside (first column + last row)
-    for r in range(r1, r2):
-        for c in range(c1 + 1, c2 + 1):
-            if (r, c) in boxes:
-                return False
-    return True
 
 
 # a box set's boxes in lexicographic order, southwest masks and arrow candidates
@@ -549,7 +548,8 @@ def _box_layout(boxes: frozenset[Box]) -> _Layout:
             if r2 <= r1 or c2 <= c1:
                 continue
             two_by_two = r2 == r1 + 1 and c2 == c1 + 1
-            hook_only = _rectangle_meets_hook_only(boxes, r1, c1, r2, c2)
+            # nothing in the rectangle outside its first column and last row
+            hook_only = not any((r, c) in boxes for r in range(r1, r2) for c in range(c1 + 1, c2 + 1))
             nw = two_by_two or (r2 - r1 >= 2 and hook_only)
             se = two_by_two or (c2 - c1 >= 2 and hook_only)
             if nw or se:
@@ -693,7 +693,7 @@ _Edge = tuple[int, int, int, int | None, int | None]
 @lru_cache(maxsize=None)
 def _order_facts(
     preds: tuple[int, ...],
-) -> tuple[int, tuple[tuple[int, int], ...], tuple[tuple[_Edge, ...], ...], tuple[itemgetter, ...]]:
+) -> tuple[int, tuple[tuple[int, int], ...], tuple[tuple[_Edge, ...], ...], tuple[Callable, ...]]:
     """The number of orders of ``_linear_extensions(preds)``; the
     incomparable pairs ``(i, j)``, ``i < j``: the indices that no chain of
     predecessor masks puts one before the other; per order, its edges; and
@@ -747,10 +747,7 @@ def _order_facts(
         )
         for seq in orders
     )
-    # a getter of one index would return a bare letter; fewer than two
-    # indices have one order, which reads the letters as they stand
-    readers = tuple(itemgetter(*seq) for seq in orders) if n > 1 else (tuple,)
-    return len(orders), pairs, edges, readers
+    return len(orders), pairs, edges, tuple(map(_getter, orders))
 
 
 def _linear_extensions(preds: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import combinations_with_replacement, product
-from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .alphabet_words import (
@@ -49,14 +48,16 @@ from .tableaux import (
     ColoredTableau,
     RestrictedShape,
     _arrow_preds,
+    _column_reader,
     _FillingWalk,
+    _getter,
     _order_facts,
+    _sqread_reader,
     arrow_respecting_words,
     check_partition,
-    column_reading,
     convert,
     enumerate_fillings,
-    enumerate_tableaux,
+    enumerate_tableaux,  # noqa: F401  (bound for the tracer)
     insert,
     nontail_removable,
     partitions_of,
@@ -73,33 +74,35 @@ def _check_bound(value: int, name: str) -> None:
         raise InvalidParameterError(f"{name} must be at least 0, got {value}")
 
 
-def _partition_range(max_size: int) -> list[tuple[int, ...]]:
-    return [nu for n in range(1, max_size + 1) for nu in partitions_of(n)]
+def _readings(walk: _FillingWalk, nu: tuple[int, ...], reader: Callable) -> Iterable[ColoredWord]:
+    boxes = RestrictedShape.from_partition(nu).boxes
+    return map(reader(boxes), walk.letters(sorted(boxes)))
 
 
 def _verify_reading_expansion(
     target: str,
     ideal: IdealSpec,
     order: ShuffleOrder,
-    read: Callable[[ColoredTableau], ColoredWord],
+    reader: Callable,
     max_size: int,
     nu_list: Sequence[tuple[int, ...]] | None,
 ) -> dict:
     """Membership of J_nu for the order minus the sum of the reading words
-    ``read(T)`` over the colored tableaux T of shape nu, in the ideal."""
+    over the colored tableaux of shape nu (``_readings``), in the ideal."""
     _check_bound(max_size, "max_size")
-    top = order.max_letter()
+    walk = _FillingWalk(order, order.max_letter())
     results = []
-    for nu in (nu_list if nu_list is not None else _partition_range(max_size)):
+    for nu in nu_list if nu_list is not None else [p for n in range(1, max_size + 1) for p in partitions_of(n)]:
         nu = check_partition(nu)
-        total = NCPoly(Counter(read(tab) for tab in enumerate_tableaux(nu, order, top)))
-        member = ideal_contains(ideal, J_nu(nu, order.N, order) - total)
-        results.append({"nu": list(nu), "member": member})
+        total = Counter(_readings(walk, nu, reader))
+        member = ideal_contains(ideal, J_nu(nu, order.N, order) - NCPoly(total))
+        results.append({"nu": list(nu), "tableaux": total.total(), "member": member})
     return {
         "target": target,
         "ideal": ideal.name(),
         "N": order.N,
         "results": results,
+        "tableaux": sum(r["tableaux"] for r in results),
         "ok": all(r["member"] for r in results),
     }
 
@@ -107,13 +110,13 @@ def _verify_reading_expansion(
 def verify_jnu(ideal: IdealSpec, N: int, max_size: int, nu_list: Sequence[tuple[int, ...]] | None = None) -> dict:
     """Membership of J_nu minus the sum of diagonal reading words over
     colored tableaux, in the given ideal, natural order throughout."""
-    return _verify_reading_expansion("jnu", ideal, natural_order(N), sqread, max_size, nu_list)
+    return _verify_reading_expansion("jnu", ideal, natural_order(N), _sqread_reader, max_size, nu_list)
 
 
 def verify_jplac(order: ShuffleOrder, max_size: int, nu_list: Sequence[tuple[int, ...]] | None = None) -> dict:
     """Membership of J_nu for the order minus the sum of column reading
     words, in the colored plactic ideal of that order."""
-    return _verify_reading_expansion("jplac", plac_ideal(order), order, column_reading, max_size, nu_list)
+    return _verify_reading_expansion("jplac", plac_ideal(order), order, _column_reader, max_size, nu_list)
 
 
 def verify_conjecture_jnu_kronknuth(N: int, max_size: int) -> dict:
@@ -206,13 +209,10 @@ def verify_insertion_fixed_point(N: int, max_len: int) -> dict:
     inserting it and reading back reproduces it."""
     _check_bound(max_len, "max_len")
     order = natural_order(N)
-    top = barred(N)
+    walk = _FillingWalk(order, order.max_letter())
     checked = 0
     for t in range(1, max_len + 1):
-        image = set()
-        for nu in partitions_of(t):
-            for tab in enumerate_tableaux(nu, order, top):
-                image.add(sqread(tab))
+        image = {w for nu in partitions_of(t) for w in _readings(walk, nu, _sqread_reader)}
         for w in all_words(N, t):
             checked += 1
             if (sqread(insert(w, order)) == w) != (w in image):
@@ -284,8 +284,7 @@ def _projection(pairs: Sequence[tuple[int, int]], edges: Sequence[Sequence[tuple
     at each edge's ``i``, ``j``, ``before`` and ``after``."""
     read = {i for pair in pairs for i in pair}
     read.update(k for out in edges for edge in out for k in edge[1:] if k is not None)
-    # a getter of one index returns a bare letter, and one of none is refused
-    return itemgetter(*read) if len(read) > 1 else lambda letters: tuple(letters[i] for i in read)
+    return _getter(tuple(read))
 
 
 def verify_reading_word_congruence(max_boxes: int, N: int) -> dict:
@@ -333,12 +332,11 @@ def verify_reading_word_congruence(max_boxes: int, N: int) -> dict:
     """
     _check_bound(max_boxes, "max_boxes")
     order = natural_order(N)
-    top = barred(N)
     ideal = kron_ideal(N)
     swaps = swap_pairs(ideal)
     swaps_after, swaps_before = _triple_swaps(ideal)
     budget = monomial_budget()
-    walk = _FillingWalk(order, top)
+    walk = _FillingWalk(order, barred(N))
     tableaux_checked = 0
     words_checked = 0
     settled = [0, 0, 0]  # by pairs, by moves, by forms
@@ -476,7 +474,6 @@ def verify_flagged(N: int = 2, max_alpha_weight: int = 4, box: int = 3) -> dict:
     _check_bound(max_alpha_weight, "max_alpha_weight")
     _check_bound(box, "box")
     order = natural_order(N)
-    top = barred(N)
     ideal = kron_ideal(N)
     checked = 0
     failures: list[dict] = []
@@ -492,7 +489,7 @@ def verify_flagged(N: int = 2, max_alpha_weight: int = 4, box: int = 3) -> dict:
                 continue
             j, jprime = form
             shape = RestrictedShape.from_column_pair(nu, alpha)
-            for tab in enumerate_fillings(shape, order, top):
+            for tab in enumerate_fillings(shape, order, barred(N)):
                 border = {c: tab[(alpha[c - 1] + 1, c)] for c in range(1, jprime + 1)}
                 fixed: dict[int, Letter | None] = {c: down_arrow(border[c]) for c in range(1, jprime + 1) if c != j}
                 cap_rank = None

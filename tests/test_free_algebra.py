@@ -50,6 +50,7 @@ from suprschur.alphabet_words import enumerate_cyw
 from suprschur.tableaux import ColoredTableau, partitions_of
 
 from golden_data import JNU21_N2_TEXT
+from helpers import column_reading_per_tableau, sqread_per_tableau
 
 w = parse_word
 
@@ -1552,6 +1553,94 @@ def test_small_reading_word_expansions():
     assert verify_jnu(kron_ideal(2), 2, 3)["ok"]
     assert verify_jplac(big_bar_order(2), 3)["ok"]
     assert verify_jnu(kronknuth_ideal(2), 2, 3)["ok"]
+
+
+def _reading_expansion_per_tableau(target, ideal, order, read, max_size):
+    """The reading-expansion driver that built a tableau per filling and read
+    it with a per-tableau rule."""
+    from collections import Counter
+
+    from suprschur.tableaux import enumerate_tableaux
+
+    results = []
+    for nu in [p for n in range(1, max_size + 1) for p in partitions_of(n)]:
+        tabs = enumerate_tableaux(nu, order, order.max_letter())
+        member = ideal_contains(ideal, J_nu(nu, order.N, order) - NCPoly(Counter(read(tab) for tab in tabs)))
+        results.append({"nu": list(nu), "tableaux": len(tabs), "member": member})
+    return {
+        "target": target,
+        "ideal": ideal.name(),
+        "N": order.N,
+        "results": results,
+        "tableaux": sum(r["tableaux"] for r in results),
+        "ok": all(r["member"] for r in results),
+    }
+
+
+def _insertion_fixed_point_per_tableau(N, max_len):
+    """The fixed-point driver that built its image from a tableau per filling."""
+    from suprschur.tableaux import enumerate_tableaux, insert, sqread
+
+    order = natural_order(N)
+    checked = 0
+    for t in range(1, max_len + 1):
+        image = {sqread_per_tableau(tab) for nu in partitions_of(t) for tab in enumerate_tableaux(nu, order, barred(N))}
+        for word in all_words(N, t):
+            checked += 1
+            if (sqread(insert(word, order)) == word) != (word in image):
+                return {"target": "fixed-point", "ok": False, "word": word_str(word)}
+    return {"target": "fixed-point", "N": N, "max_len": max_len, "checked": checked, "ok": True}
+
+
+@pytest.mark.parametrize("N, max_size", [(2, 6), (3, 6), (4, 5)])
+def test_jnu_report_matches_per_tableau_driver(N, max_size):
+    from suprschur.verify import verify_jnu
+
+    report = verify_jnu(kron_ideal(N), N, max_size)
+    assert report == _reading_expansion_per_tableau("jnu", kron_ideal(N), natural_order(N), sqread_per_tableau, max_size)
+    assert report["ok"]
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_jplac_report_matches_per_tableau_driver(N):
+    from suprschur.verify import verify_jplac
+
+    for order in (natural_order(N), big_bar_order(N)):
+        report = verify_jplac(order, 5)
+        reference = _reading_expansion_per_tableau("jplac", plac_ideal(order), order, column_reading_per_tableau, 5)
+        assert report == reference
+        assert report["ok"]
+
+
+@pytest.mark.parametrize("N, max_size", [(1, 5), (2, 7), (2, 8), (3, 6)])
+def test_conjecture61_report_matches_per_tableau_driver(N, max_size):
+    from suprschur.verify import verify_conjecture_jnu_kronknuth
+
+    reference = _reading_expansion_per_tableau("jnu", kronknuth_ideal(N), natural_order(N), sqread_per_tableau, max_size)
+    reference.update(target="conjecture61", verified_range={"N": N, "max_size": max_size})
+    assert verify_conjecture_jnu_kronknuth(N, max_size) == reference
+
+
+def test_insertion_fixed_point_matches_per_tableau_driver():
+    from suprschur.verify import verify_insertion_fixed_point
+
+    assert verify_insertion_fixed_point(2, 6) == _insertion_fixed_point_per_tableau(2, 6)
+
+
+def test_jnu_report_counts_the_tableaux_read():
+    # the benchmark's point: 18 shapes, 2,498 tableaux, read in the order of
+    # the shapes given, with a result per shape
+    from suprschur.verify import verify_jnu
+
+    report = verify_jnu(kron_ideal(3), 3, 5)
+    assert report["tableaux"] == sum(r["tableaux"] for r in report["results"]) == 2498
+    assert [r["tableaux"] for r in report["results"][:3]] == [6, 18, 18]  # (1), (2), (1, 1)
+    shapes = [tuple(r["nu"]) for r in report["results"]]
+    random.Random(5).shuffle(shapes)
+    again = verify_jnu(kron_ideal(3), 3, 5, nu_list=shapes)
+    assert [tuple(r["nu"]) for r in again["results"]] == shapes
+    assert {tuple(r["nu"]): r for r in again["results"]} == {tuple(r["nu"]): r for r in report["results"]}
+    assert again["tableaux"] == 2498 and again["ok"]
 
 
 def test_commutation_small():

@@ -40,10 +40,12 @@ from suprschur.tableaux import (
     ColoredTableau,
     RestrictedShape,
     _box_layout,
+    _column_reader,
     _filling_arrows,
     _FillingWalk,
     _Layout,
     _ribbon_components,
+    _sqread_reader,
     _unique_refill,
     arrow_respecting_words,
     arrows,
@@ -74,6 +76,8 @@ from suprschur.lascoux import (
     superstandard,
 )
 from suprschur.verify import conversion_bijection_holds
+
+from helpers import column_reading_per_tableau, sqread_per_tableau
 
 w = parse_word
 
@@ -170,6 +174,31 @@ def _shuffle_orders(N):
             letters[pos] = unbarred(value)
         barred_letters = iter(barred(value) for value in range(1, N + 1))
         yield ShuffleOrder(tuple(x if x is not None else next(barred_letters) for x in letters))
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_readers_match_the_per_tableau_rules(N):
+    # on every filling of every restricted shape of at most 6 boxes, the
+    # empty and one-box shapes among them, in both orders: the readers of
+    # the box set, given the letters in box order, read the words the
+    # per-tableau rules read, and so do sqread and column_reading
+    counts = []
+    for order in (natural_order(N), big_bar_order(N)):
+        walk = _FillingWalk(order, order.max_letter())
+        count = 0
+        for boxes in [frozenset()] + [shape.boxes for shape in restricted_shapes_in_box(6, 6, max_boxes=6)]:
+            ordered = sorted(boxes)
+            diagonal, column = _sqread_reader(boxes), _column_reader(boxes)
+            for letters in walk.letters(ordered):
+                tab = ColoredTableau(dict(zip(ordered, letters)), order)
+                assert diagonal(letters) == sqread(tab) == sqread_per_tableau(tab), (tab, order)
+                assert column(letters) == column_reading(tab) == column_reading_per_tableau(tab), (tab, order)
+                count += 1
+        counts.append(count)
+    assert counts == {2: [4877, 4327], 3: [43931, 38793]}[N]
+    one = unbarred(1)
+    assert _sqread_reader(frozenset({(1, 1)}))((one,)) == _column_reader(frozenset({(1, 1)}))([one]) == (one,)
+    assert _sqread_reader(frozenset())(()) == _column_reader(frozenset())(()) == ()
 
 
 def test_insert_sqread_fixed_point_on_tableaux():
